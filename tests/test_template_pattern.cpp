@@ -5,12 +5,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <iomanip>
+#include <map>
 #include <set>
+#include <string>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "dvf/common/error.hpp"
 #include "dvf/common/rng.hpp"
+#include "dvf/dsl/analyzer.hpp"
 
 namespace dvf {
 namespace {
@@ -191,6 +198,124 @@ TEST(TemplateEstimate, RejectsInvalidSpecs) {
   spec.cache_ratio = 1.0;
   spec.repetitions = 0;
   EXPECT_THROW((void)estimate_template(spec, c), InvalidArgumentError);
+}
+
+
+/// The six Table IV caches: the two verification caches, then profiling.
+std::vector<CacheConfig> table_iv_caches() {
+  std::vector<CacheConfig> out = {caches::small_verification(),
+                                  caches::large_verification()};
+  for (CacheConfig& c : caches::all_profiling()) {
+    out.push_back(std::move(c));
+  }
+  return out;
+}
+
+// Golden N_ha for every template pattern of models/*.aspen on every Table IV
+// cache, in both distance modes, at the declared cache share and at 1/8 and
+// 1/64 of it (so capacity boundaries fall inside the stencil's reuse
+// distances). Key: file/model/structure#pattern/cache/mode/share-divisor.
+// The values come from the original Fenwick-tree stack-distance replay; a
+// faster replay must reproduce them exactly.
+const std::map<std::string, double>& template_golden() {
+  static const std::map<std::string, double> golden = {
+    {"mg.aspen/MG/R#0/small-verification/stack/1", 3976},
+    {"mg.aspen/MG/R#0/small-verification/stack/8", 7696},
+    {"mg.aspen/MG/R#0/small-verification/stack/64", 15360},
+    {"mg.aspen/MG/R#0/small-verification/raw/1", 3976},
+    {"mg.aspen/MG/R#0/small-verification/raw/8", 7696},
+    {"mg.aspen/MG/R#0/small-verification/raw/64", 15360},
+    {"mg.aspen/MG/R#0/large-verification/stack/1", 498},
+    {"mg.aspen/MG/R#0/large-verification/stack/8", 498},
+    {"mg.aspen/MG/R#0/large-verification/stack/64", 498},
+    {"mg.aspen/MG/R#0/large-verification/raw/1", 498},
+    {"mg.aspen/MG/R#0/large-verification/raw/8", 498},
+    {"mg.aspen/MG/R#0/large-verification/raw/64", 1992},
+    {"mg.aspen/MG/R#0/16KB/stack/1", 15872},
+    {"mg.aspen/MG/R#0/16KB/stack/8", 30720},
+    {"mg.aspen/MG/R#0/16KB/stack/64", 30720},
+    {"mg.aspen/MG/R#0/16KB/raw/1", 15872},
+    {"mg.aspen/MG/R#0/16KB/raw/8", 30720},
+    {"mg.aspen/MG/R#0/16KB/raw/64", 30720},
+    {"mg.aspen/MG/R#0/128KB/stack/1", 1984},
+    {"mg.aspen/MG/R#0/128KB/stack/8", 7936},
+    {"mg.aspen/MG/R#0/128KB/stack/64", 15360},
+    {"mg.aspen/MG/R#0/128KB/raw/1", 1984},
+    {"mg.aspen/MG/R#0/128KB/raw/8", 7936},
+    {"mg.aspen/MG/R#0/128KB/raw/64", 15360},
+    {"mg.aspen/MG/R#0/1MB/stack/1", 994},
+    {"mg.aspen/MG/R#0/1MB/stack/8", 994},
+    {"mg.aspen/MG/R#0/1MB/stack/64", 3976},
+    {"mg.aspen/MG/R#0/1MB/raw/1", 994},
+    {"mg.aspen/MG/R#0/1MB/raw/8", 3976},
+    {"mg.aspen/MG/R#0/1MB/raw/64", 3976},
+    {"mg.aspen/MG/R#0/8MB/stack/1", 498},
+    {"mg.aspen/MG/R#0/8MB/stack/8", 498},
+    {"mg.aspen/MG/R#0/8MB/stack/64", 498},
+    {"mg.aspen/MG/R#0/8MB/raw/1", 498},
+    {"mg.aspen/MG/R#0/8MB/raw/8", 498},
+    {"mg.aspen/MG/R#0/8MB/raw/64", 1992},
+  };
+  return golden;
+}
+
+TEST(TemplateGolden, BundledModelsOnTableIvCaches) {
+  namespace fs = std::filesystem;
+  std::vector<fs::path> files;
+  for (const fs::directory_entry& entry :
+       fs::directory_iterator(DVF_MODELS_DIR)) {
+    if (entry.path().extension() == ".aspen") {
+      files.push_back(entry.path());
+    }
+  }
+  std::sort(files.begin(), files.end());
+  ASSERT_FALSE(files.empty());
+
+  const std::vector<CacheConfig> caches_iv = table_iv_caches();
+  std::set<std::string> seen;
+  for (const fs::path& path : files) {
+    const dsl::CompiledProgram program = dsl::compile_file(path.string());
+    for (const ModelSpec& model : program.models) {
+      for (const DataStructureSpec& ds : model.structures) {
+        for (std::size_t p = 0; p < ds.patterns.size(); ++p) {
+          const auto* tmpl = std::get_if<TemplateSpec>(&ds.patterns[p]);
+          if (tmpl == nullptr) {
+            continue;
+          }
+          for (const CacheConfig& cache : caches_iv) {
+            for (const DistanceKind kind :
+                 {DistanceKind::kStack, DistanceKind::kRaw}) {
+              for (const int divisor : {1, 8, 64}) {
+                TemplateSpec spec = *tmpl;
+                spec.distance = kind;
+                spec.cache_ratio = tmpl->cache_ratio / divisor;
+                const std::string key =
+                    path.filename().string() + "/" + model.name + "/" +
+                    ds.name + "#" + std::to_string(p) + "/" + cache.name() +
+                    (kind == DistanceKind::kStack ? "/stack/" : "/raw/") +
+                    std::to_string(divisor);
+                seen.insert(key);
+                const Result<double> got = try_estimate_template(spec, cache);
+                ASSERT_TRUE(got.ok()) << key;
+                const auto it = template_golden().find(key);
+                if (it == template_golden().end()) {
+                  ADD_FAILURE() << "no golden value for {\"" << key
+                                << "\", " << std::setprecision(17)
+                                << got.value() << "},";
+                  continue;
+                }
+                EXPECT_EQ(got.value(), it->second) << key;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  // A golden entry no model produces any more is a stale pin.
+  for (const auto& [key, value] : template_golden()) {
+    EXPECT_TRUE(seen.count(key) == 1) << "stale golden entry " << key;
+  }
 }
 
 }  // namespace
