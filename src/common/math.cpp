@@ -1,10 +1,25 @@
 #include "dvf/common/math.hpp"
 
+#include <math.h>  // lgamma_r
+
 #include <algorithm>
 #include <cmath>
 #include <limits>
 
 namespace dvf::math {
+
+namespace {
+
+/// ln|Γ(x)|. std::lgamma writes the sign to the global `signgam`, a data
+/// race when evaluators run on several threads; lgamma_r returns it through
+/// an argument instead and computes the same values (glibc's lgamma wraps
+/// it).
+double log_gamma(double x) {
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
+}
+
+}  // namespace
 
 double log_binomial(std::int64_t n, std::int64_t k) {
   if (k < 0 || k > n || n < 0) {
@@ -13,9 +28,9 @@ double log_binomial(std::int64_t n, std::int64_t k) {
   if (k == 0 || k == n) {
     return 0.0;
   }
-  return std::lgamma(static_cast<double>(n) + 1.0) -
-         std::lgamma(static_cast<double>(k) + 1.0) -
-         std::lgamma(static_cast<double>(n - k) + 1.0);
+  return log_gamma(static_cast<double>(n) + 1.0) -
+         log_gamma(static_cast<double>(k) + 1.0) -
+         log_gamma(static_cast<double>(n - k) + 1.0);
 }
 
 double binomial(std::int64_t n, std::int64_t k) {

@@ -4,11 +4,18 @@
 // map to cache blocks, and the paper's two-step algorithm counts one
 // main-memory access for each first use of a block plus one for each reuse
 // whose distance exceeds the available cache capacity.
+//
+// The count is exact and linear in the string length. Blocks are renamed to
+// dense ids in first-use order. A reuse's LRU stack distance reaches the
+// capacity C exactly when the block is absent from a fully-associative LRU
+// of C blocks (Mattson inclusion), so the stack mode replays such an LRU in
+// O(1) per reference instead of computing distances. After one pass every
+// block has been used, so every later pass starts from the same state and
+// costs the same: N_ha = A1 + (R - 1) * A2 from passes 1 and 2 alone.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "dvf/common/budget.hpp"
@@ -18,38 +25,9 @@
 
 namespace dvf {
 
-/// Online LRU stack-distance computation over a block reference string.
-/// For each reference, observe() yields the number of DISTINCT blocks
-/// touched since that block's previous use, or kColdMiss for a first use.
-/// O(log n) per reference via a Fenwick tree over reference positions.
-class ReuseDistanceAnalyzer {
- public:
-  static constexpr std::uint64_t kColdMiss = ~std::uint64_t{0};
-
-  /// `expected_references`: reserve hint (the full string length).
-  explicit ReuseDistanceAnalyzer(std::size_t expected_references = 0);
-
-  /// Feeds the next reference; returns its stack distance (kColdMiss for the
-  /// first touch of the block).
-  std::uint64_t observe(std::uint64_t block);
-
-  /// Number of distinct blocks seen so far.
-  [[nodiscard]] std::size_t distinct_blocks() const noexcept {
-    return last_position_.size();
-  }
-
- private:
-  void bit_add(std::size_t pos, std::int64_t delta);
-  [[nodiscard]] std::int64_t bit_prefix_sum(std::size_t pos) const;
-  void ensure_capacity(std::size_t pos);
-
-  std::vector<std::int64_t> tree_;  // Fenwick: 1 at each block's latest use
-  std::unordered_map<std::uint64_t, std::uint64_t> last_position_;  // block -> pos+1
-  std::size_t position_ = 0;
-};
-
 /// Converts the template's element indices to a cache-block reference string
-/// (structure assumed block-aligned at offset 0).
+/// (structure assumed block-aligned at offset 0). `line_bytes` must be a
+/// power of two, as every CacheConfig's is.
 [[nodiscard]] std::vector<std::uint64_t> blocks_from_elements(
     std::span<const std::uint64_t> element_indices, std::uint32_t element_bytes,
     std::uint32_t line_bytes);
@@ -58,8 +36,9 @@ class ReuseDistanceAnalyzer {
 /// throwing. domain_error for invalid specs, overflow when an element index
 /// times the element size wraps 64-bit byte addressing, resource_limit when
 /// the materialized block string (expansion) or the replayed reference count
-/// (references) exceeds the budget, deadline_exceeded on wall-clock expiry
-/// mid-replay. `budget` may be null (process-default limits apply).
+/// (references, charged as string length times repetitions) exceeds the
+/// budget, deadline_exceeded on wall-clock expiry mid-replay. `budget` may be
+/// null (process-default limits apply).
 [[nodiscard]] Result<double> try_estimate_template(const TemplateSpec& spec,
                                                    const CacheConfig& cache,
                                                    EvalBudget* budget = nullptr);

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -38,6 +39,45 @@ TEST(LogBinomial, LargePopulationsStayFinite) {
   const double lb = log_binomial(10'000'000, 5'000'000);
   EXPECT_TRUE(std::isfinite(lb));
   EXPECT_GT(lb, 0.0);
+}
+
+// Evaluators call log_binomial from several threads at once (two serve
+// clients on one engine). Under ThreadSanitizer this fails if it touches
+// shared state such as glibc's `signgam`; everywhere it checks that every
+// thread sees the serial values, which are those of std::lgamma.
+TEST(MathConcurrency, LogBinomialFromManyThreads) {
+  std::vector<std::pair<std::int64_t, std::int64_t>> args;
+  for (std::int64_t n = 1; n < 2000; n += 37) {
+    for (std::int64_t k = 1; k < n; k += 11) {
+      args.emplace_back(n, k);
+    }
+  }
+  std::vector<double> serial;
+  for (const auto& [n, k] : args) {
+    serial.push_back(log_binomial(n, k));
+    EXPECT_EQ(serial.back(), std::lgamma(static_cast<double>(n) + 1.0) -
+                                 std::lgamma(static_cast<double>(k) + 1.0) -
+                                 std::lgamma(static_cast<double>(n - k) + 1.0))
+        << "n=" << n << " k=" << k;
+  }
+  std::vector<int> mismatches(4, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < mismatches.size(); ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 20; ++round) {
+        for (std::size_t i = 0; i < args.size(); ++i) {
+          mismatches[t] +=
+              log_binomial(args[i].first, args[i].second) != serial[i] ? 1 : 0;
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  for (const int m : mismatches) {
+    EXPECT_EQ(m, 0);
+  }
 }
 
 TEST(Hypergeometric, SumsToOneOverSupport) {

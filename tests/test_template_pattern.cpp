@@ -1,6 +1,6 @@
-// Unit + property tests for the template-based model: the stack-distance
-// analyzer (cross-validated against a brute-force oracle), block expansion,
-// and the two-step counting algorithm.
+// Unit + property tests for the template-based model: block expansion, the
+// two-step counting algorithm (cross-validated against a brute-force oracle
+// over the materialized string), and golden values for the bundled models.
 #include "dvf/patterns/template_access.hpp"
 
 #include <gtest/gtest.h>
@@ -22,6 +22,8 @@
 namespace dvf {
 namespace {
 
+constexpr std::uint64_t kColdMiss = ~std::uint64_t{0};
+
 /// Brute-force stack distance: distinct blocks strictly between the previous
 /// and current use.
 std::vector<std::uint64_t> oracle_distances(
@@ -31,7 +33,7 @@ std::vector<std::uint64_t> oracle_distances(
   for (std::size_t t = 0; t < blocks.size(); ++t) {
     const auto it = last.find(blocks[t]);
     if (it == last.end()) {
-      out.push_back(ReuseDistanceAnalyzer::kColdMiss);
+      out.push_back(kColdMiss);
     } else {
       std::set<std::uint64_t> distinct;
       for (std::size_t u = it->second + 1; u < t; ++u) {
@@ -44,54 +46,91 @@ std::vector<std::uint64_t> oracle_distances(
   return out;
 }
 
-TEST(ReuseDistance, SimpleSequences) {
-  ReuseDistanceAnalyzer analyzer;
-  EXPECT_EQ(analyzer.observe(10), ReuseDistanceAnalyzer::kColdMiss);
-  EXPECT_EQ(analyzer.observe(10), 0u);          // immediate reuse
-  EXPECT_EQ(analyzer.observe(20), ReuseDistanceAnalyzer::kColdMiss);
-  EXPECT_EQ(analyzer.observe(10), 1u);          // one distinct block between
-  EXPECT_EQ(analyzer.observe(30), ReuseDistanceAnalyzer::kColdMiss);
-  EXPECT_EQ(analyzer.observe(20), 2u);          // 10 and 30 in between
-  EXPECT_EQ(analyzer.distinct_blocks(), 3u);
-}
-
-TEST(ReuseDistance, RepeatedBlockBetweenUsesCountsOnce) {
-  ReuseDistanceAnalyzer analyzer;
-  (void)analyzer.observe(1);
-  (void)analyzer.observe(2);
-  (void)analyzer.observe(2);
-  (void)analyzer.observe(2);
-  EXPECT_EQ(analyzer.observe(1), 1u);  // block 2 appears once, not thrice
-}
-
-TEST(ReuseDistance, MatchesOracleOnRandomStrings) {
-  Xoshiro256 rng(2024);
-  for (int trial = 0; trial < 20; ++trial) {
-    std::vector<std::uint64_t> blocks;
-    for (int i = 0; i < 400; ++i) {
-      blocks.push_back(rng.below(40));
-    }
-    const auto expected = oracle_distances(blocks);
-    ReuseDistanceAnalyzer analyzer;
-    for (std::size_t t = 0; t < blocks.size(); ++t) {
-      ASSERT_EQ(analyzer.observe(blocks[t]), expected[t])
-          << "trial " << trial << " position " << t;
-    }
-  }
-}
-
-TEST(ReuseDistance, SurvivesCompactionOnLongStreams) {
-  // Run far past the eager tree capacity with a small block universe so the
-  // compaction path executes; compare against the oracle on a suffix.
-  ReuseDistanceAnalyzer analyzer(8);
-  Xoshiro256 rng(7);
-  std::vector<std::uint64_t> blocks;
-  for (int i = 0; i < 200000; ++i) {
-    blocks.push_back(rng.below(64));
-  }
-  const auto expected = oracle_distances(blocks);
+/// Raw reference distance: positions since the previous use.
+std::vector<std::uint64_t> oracle_gaps(const std::vector<std::uint64_t>& blocks) {
+  std::vector<std::uint64_t> out;
+  std::unordered_map<std::uint64_t, std::size_t> last;
   for (std::size_t t = 0; t < blocks.size(); ++t) {
-    ASSERT_EQ(analyzer.observe(blocks[t]), expected[t]) << "position " << t;
+    const auto it = last.find(blocks[t]);
+    out.push_back(it == last.end() ? kColdMiss : t - it->second);
+    last[blocks[t]] = t;
+  }
+  return out;
+}
+
+TEST(TemplateEstimate, MatchesTheTwoStepOracleOnRandomStrings) {
+  const CacheConfig cache("c", 8, 256, 32);  // 2048 blocks
+  Xoshiro256 rng(2024);
+  for (int trial = 0; trial < 240; ++trial) {
+    TemplateSpec spec;
+    // 1-128 B elements: up to four 32 B lines each.
+    spec.element_bytes = std::uint32_t{1} << rng.below(8);
+    spec.repetitions = 1 + rng.below(6);
+    const std::uint64_t universe = 1 + rng.below(200);
+    const std::uint64_t length = 1 + rng.below(300);
+    for (std::uint64_t i = 0; i < length; ++i) {
+      spec.element_indices.push_back(rng.below(universe));
+    }
+    // The paper's two-step count, literally: materialize every repetition,
+    // then one access per first use plus one per reuse whose distance
+    // reaches the share (stack: >= C distinct blocks between uses; raw: a
+    // gap > C references).
+    const std::vector<std::uint64_t> once = blocks_from_elements(
+        spec.element_indices, spec.element_bytes, cache.line_bytes());
+    std::vector<std::uint64_t> blocks;
+    for (std::uint64_t rep = 0; rep < spec.repetitions; ++rep) {
+      blocks.insert(blocks.end(), once.begin(), once.end());
+    }
+    const std::vector<std::uint64_t> stack = oracle_distances(blocks);
+    const std::vector<std::uint64_t> raw = oracle_gaps(blocks);
+    const auto distinct = static_cast<std::uint64_t>(
+        std::set<std::uint64_t>(once.begin(), once.end()).size());
+    // Capacities 0, 1, mid-range, exactly the distinct count and beyond it;
+    // the half-block offset makes floor(total * ratio) land on the target.
+    for (const std::uint64_t capacity :
+         {std::uint64_t{0}, std::uint64_t{1}, 1 + rng.below(distinct),
+          distinct, distinct + 1 + rng.below(64)}) {
+      spec.cache_ratio = (static_cast<double>(capacity) + 0.5) /
+                         static_cast<double>(cache.total_blocks());
+      std::uint64_t stack_misses = 0;
+      std::uint64_t raw_misses = 0;
+      for (std::size_t t = 0; t < blocks.size(); ++t) {
+        stack_misses += stack[t] == kColdMiss || stack[t] >= capacity ? 1 : 0;
+        raw_misses += raw[t] == kColdMiss || raw[t] > capacity ? 1 : 0;
+      }
+      for (const DistanceKind kind :
+           {DistanceKind::kStack, DistanceKind::kRaw}) {
+        spec.distance = kind;
+        const Result<double> got = try_estimate_template(spec, cache);
+        ASSERT_TRUE(got.ok()) << "trial " << trial;
+        ASSERT_EQ(got.value(), static_cast<double>(
+                                   kind == DistanceKind::kStack ? stack_misses
+                                                                : raw_misses))
+            << "trial " << trial << " capacity " << capacity << " R "
+            << spec.repetitions << " E " << spec.element_bytes
+            << (kind == DistanceKind::kStack ? " stack" : " raw");
+      }
+    }
+  }
+}
+
+TEST(TemplateEstimate, RepetitionCollapseSaturatesInsteadOfWrapping) {
+  // 300 blocks cycling through a 256-block cache: every reference misses,
+  // 300 * 2^63 times. With the budget's limits disabled nothing stops the
+  // count, so it must clamp at 2^64 - 1 instead of wrapping.
+  TemplateSpec spec;
+  spec.element_bytes = 32;
+  for (std::uint64_t i = 0; i < 300; ++i) {
+    spec.element_indices.push_back(i);
+  }
+  spec.repetitions = std::uint64_t{1} << 63;
+  const CacheConfig c("c", 4, 64, 32);
+  EvalBudget unlimited(EvalLimits{0, 0, 0.0});
+  for (const DistanceKind kind : {DistanceKind::kStack, DistanceKind::kRaw}) {
+    spec.distance = kind;
+    const Result<double> got = try_estimate_template(spec, c, &unlimited);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got.value(), static_cast<double>(~std::uint64_t{0}));
   }
 }
 
