@@ -4,6 +4,7 @@
 // Fig. 4 aggregates.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <vector>
 
 #include "dvf/cachesim/cache_simulator.hpp"
@@ -25,6 +26,14 @@ struct RandomCase {
   std::uint64_t visits;
   std::uint64_t iterations;
 };
+
+// gtest names each case after its printed parameter. Without this printer it
+// dumps the struct's bytes, including the padding after element_bytes, whose
+// contents change from run to run.
+void PrintTo(const RandomCase& c, std::ostream* os) {
+  *os << c.elements << "x" << c.element_bytes << "B_" << c.visits
+      << "visits_" << c.iterations << "iterations";
+}
 
 class UniformRandomVsSim : public ::testing::TestWithParam<RandomCase> {};
 
