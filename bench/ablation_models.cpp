@@ -69,8 +69,10 @@ int main() {
         const SimReference ref = simulate(kernel, small, ds.name);
         dvf::RandomSpec uniform = *random;
         uniform.sorted_visit_fractions.clear();
-        const double uniform_est = dvf::estimate_random(uniform, small);
-        const double irm_est = dvf::estimate_random(*random, small);
+        const double uniform_est =
+            dvf::try_estimate_random(uniform, small).value_or_throw();
+        const double irm_est =
+            dvf::try_estimate_random(*random, small).value_or_throw();
         table.add_row({kernel.name(), ds.name, dvf::num(ref.misses),
                        dvf::num(uniform_est), err_cell(uniform_est, ref.misses),
                        dvf::num(irm_est), err_cell(irm_est, ref.misses)});
@@ -103,7 +105,8 @@ int main() {
             dvf::ReuseSpec variant = *reuse;
             variant.occupancy = occupancy;
             variant.scenario = scenario;
-            const double est = dvf::estimate_reuse(variant, cache);
+            const double est =
+                dvf::try_estimate_reuse(variant, cache).value_or_throw();
             table.add_row(
                 {cache.name(), ds.name, dvf::num(ref.misses),
                  occupancy == dvf::ReuseOccupancy::kBernoulli ? "bernoulli"
@@ -139,8 +142,10 @@ int main() {
         stack.distance = dvf::DistanceKind::kStack;
         dvf::TemplateSpec raw = *tmpl;
         raw.distance = dvf::DistanceKind::kRaw;
-        const double stack_est = dvf::estimate_template(stack, small);
-        const double raw_est = dvf::estimate_template(raw, small);
+        const double stack_est =
+            dvf::try_estimate_template(stack, small).value_or_throw();
+        const double raw_est =
+            dvf::try_estimate_template(raw, small).value_or_throw();
         table.add_row({kernel.name(), ds.name, dvf::num(ref.misses),
                        dvf::num(stack_est), err_cell(stack_est, ref.misses),
                        dvf::num(raw_est), err_cell(raw_est, ref.misses)});

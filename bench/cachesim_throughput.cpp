@@ -6,8 +6,8 @@
 // synthetic reference strings that isolate the hot-path ingredients (the
 // power-of-two set-index mask vs the modulo fallback, the per-call access()
 // entry vs the batched replay() loop, set-sharded parallel replay at 1-8
-// threads, the PLRU/RRIP policy scans) and measures the trace wire formats
-// (v1 flat vs v2 delta+run, plus chunked streaming replay). It emits
+// threads, the PLRU/RRIP policy scans) and measures the trace wire format
+// (delta+run encoded size, plus chunked streaming replay). It emits
 // BENCH_cachesim.json so the trajectory is tracked run over run.
 //
 // Set DVF_BENCH_QUICK=1 for a 10x-smaller corpus (CI smoke); every record
@@ -106,7 +106,7 @@ double run(const Scenario& scenario,
 int main() {
   std::cout << dvf::banner(
       "Cache-simulator hot path: mask vs modulo set indexing, batched "
-      "replay vs per-call access, sharded replay, trace formats");
+      "replay vs per-call access, sharded replay, trace format");
 
   const std::uint64_t accesses = access_count();
   const std::uint64_t hardware_threads =
@@ -180,30 +180,26 @@ int main() {
   }
   dvf::obs::set_enabled(false);
 
-  // Trace wire formats: v1 flat native records against v2 delta+run LE
-  // chunks, on the corpora above. The sequential corpus is v2's best case
-  // (constant stride collapses to runs); the random corpus its worst
-  // (every delta is a fresh ~28-bit zigzag varint).
+  // Trace wire format: delta+run LE chunks, on the corpora above, in bytes
+  // per record. The sequential corpus is the encoder's best case (constant
+  // stride collapses to runs); the random corpus its worst (every delta is a
+  // fresh ~28-bit zigzag varint).
   const auto structures = bench_structures();
   for (const bool is_random : {false, true}) {
     const auto& records = is_random ? random : sequential;
     const char* corpus = is_random ? "rand" : "seq";
-    std::ostringstream v1;
     std::ostringstream v2;
-    dvf::write_trace(v1, structures, records, dvf::TraceFormat::kV1);
-    dvf::write_trace(v2, structures, records, dvf::TraceFormat::kV2);
-    const std::uint64_t v1_bytes = v1.str().size();
+    dvf::write_trace(v2, structures, records);
     const std::uint64_t v2_bytes = v2.str().size();
-    const double ratio = static_cast<double>(v1_bytes) /
-                         static_cast<double>(v2_bytes);
-    table.add_row({std::string("trace_size_") + corpus, "v1 vs v2", "-", "-",
-                   "-", dvf::num(ratio, 2) + "x smaller"});
+    const double bytes_per_record =
+        static_cast<double>(v2_bytes) / static_cast<double>(accesses);
+    table.add_row({std::string("trace_size_") + corpus, "v2", "-", "-", "-",
+                   dvf::num(bytes_per_record, 3) + " B/record"});
     json.add(dvf::bench::JsonRecords::Record{}
                  .field("scenario", std::string("trace_size_") + corpus)
                  .field("records", accesses)
-                 .field("v1_bytes", v1_bytes)
                  .field("v2_bytes", v2_bytes)
-                 .field("v1_over_v2", ratio));
+                 .field("bytes_per_record", bytes_per_record));
 
     // Streamed v2 replay: decode chunk-by-chunk straight into the sharded
     // replayer, the `dvfc replay` path. Priced against the in-memory replay

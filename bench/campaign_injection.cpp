@@ -233,7 +233,7 @@ int main() {
     const double seconds = kernel->run_timed();
     dvf::ModelSpec spec = kernel->model_spec();
     spec.exec_time_seconds = seconds;
-    const dvf::ApplicationDvf app = calc.for_model(spec);
+    const dvf::ApplicationDvf app = calc.try_for_model(spec).value_or_throw();
     const double dvf_seconds = dvf_watch.seconds();
 
     // Paired series: the raw per-flip corruption PROBABILITY (sensitivity),

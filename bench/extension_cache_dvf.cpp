@@ -31,8 +31,8 @@ int main() {
     dvf::ModelSpec spec = kernel->model_spec();
     spec.exec_time_seconds = seconds;
 
-    const auto cache_side = cache_calc.for_model(spec);
-    const auto memory_side = memory_calc.for_model(spec);
+    const auto cache_side = cache_calc.try_for_model(spec).value_or_throw();
+    const auto memory_side = memory_calc.try_for_model(spec).value_or_throw();
     for (std::size_t i = 0; i < cache_side.size(); ++i) {
       const double mem_dvf = memory_side.structures[i].dvf;
       table.add_row(

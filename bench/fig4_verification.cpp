@@ -28,8 +28,8 @@ void verify_on(dvf::kernels::KernelCase& kernel, const dvf::CacheConfig& cache,
       continue;
     }
     const dvf::CacheStats stats = sim.stats(*id);
-    const double estimate = dvf::estimate_accesses(
-        std::span<const dvf::PatternSpec>(ds.patterns), cache);
+    const double estimate = dvf::try_estimate_accesses(
+        std::span<const dvf::PatternSpec>(ds.patterns), cache).value_or_throw();
     const double err = dvf::math::relative_error(
         estimate, static_cast<double>(stats.misses));
     table.add_row({kernel.name(), ds.name, cache.name(),

@@ -39,7 +39,7 @@ int main() {
     results.reserve(caches.size());
     for (const auto& cache : caches) {
       const dvf::DvfCalculator calc(dvf::Machine::with_cache(cache));
-      results.push_back(calc.for_model(spec));
+      results.push_back(calc.try_for_model(spec).value_or_throw());
     }
 
     for (std::size_t s = 0; s < spec.structures.size(); ++s) {

@@ -38,7 +38,7 @@ RunResult run_variant(std::uint64_t n, bool preconditioned,
 
   dvf::ModelSpec spec = solver.model_spec();
   spec.exec_time_seconds = result.seconds;
-  result.dvf = calc.for_model(spec).total;
+  result.dvf = calc.try_for_model(spec).value_or_throw().total;
   return result;
 }
 

@@ -38,8 +38,8 @@ int main() {
   dvf::EccSweepConfig chipkill;
   chipkill.scheme = dvf::EccScheme::kChipkill;
 
-  const auto secded_points = explorer.sweep(secded);
-  const auto chipkill_points = explorer.sweep(chipkill);
+  const auto secded_points = explorer.try_sweep(secded).value_or_throw();
+  const auto chipkill_points = explorer.try_sweep(chipkill).value_or_throw();
   for (std::size_t i = 0; i < secded_points.size(); ++i) {
     table.add_row({dvf::num(100.0 * secded_points[i].degradation, 3),
                    dvf::num(secded_points[i].coverage, 3),

@@ -20,7 +20,8 @@ void BM_Streaming(benchmark::State& state) {
   spec.element_count = static_cast<std::uint64_t>(state.range(0));
   spec.stride_elements = 4;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(dvf::estimate_streaming(spec, cache()));
+    benchmark::DoNotOptimize(
+        dvf::try_estimate_streaming(spec, cache()).value_or_throw());
   }
 }
 BENCHMARK(BM_Streaming)->Arg(1000)->Arg(1000000)->Arg(100000000);
@@ -32,7 +33,8 @@ void BM_RandomUniform(benchmark::State& state) {
   spec.visits_per_iteration = 200;
   spec.iterations = 100000;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(dvf::estimate_random(spec, cache()));
+    benchmark::DoNotOptimize(
+        dvf::try_estimate_random(spec, cache()).value_or_throw());
   }
 }
 BENCHMARK(BM_RandomUniform)->Arg(100000)->Arg(1000000)->Arg(10000000);
@@ -48,7 +50,8 @@ void BM_RandomIrm(benchmark::State& state) {
     spec.sorted_visit_fractions[i] = 1.0 / static_cast<double>(i + 1);
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(dvf::estimate_random(spec, cache()));
+    benchmark::DoNotOptimize(
+        dvf::try_estimate_random(spec, cache()).value_or_throw());
   }
 }
 BENCHMARK(BM_RandomIrm)->Arg(100000)->Arg(1000000);
@@ -71,7 +74,8 @@ void BM_TemplateStackDistance(benchmark::State& state) {
     }
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(dvf::estimate_template(spec, cache()));
+    benchmark::DoNotOptimize(
+        dvf::try_estimate_template(spec, cache()).value_or_throw());
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations() *
@@ -86,7 +90,8 @@ void BM_Reuse(benchmark::State& state) {
   spec.other_bytes = spec.self_bytes * 3;
   spec.reuse_rounds = 100;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(dvf::estimate_reuse(spec, cache()));
+    benchmark::DoNotOptimize(
+        dvf::try_estimate_reuse(spec, cache()).value_or_throw());
   }
 }
 BENCHMARK(BM_Reuse)->Arg(64 * 1024)->Arg(16 * 1024 * 1024);

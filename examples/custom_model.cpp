@@ -58,7 +58,8 @@ int main(int argc, char** argv) {
       for (const dvf::ModelSpec& model : program.models) {
         for (const dvf::Machine& machine : program.machines) {
           const dvf::DvfCalculator calc(machine);
-          const dvf::ApplicationDvf app = calc.for_model(model);
+          const dvf::ApplicationDvf app =
+              calc.try_for_model(model).value_or_throw();
           dvf::Table table({"structure", "S_d (bytes)", "N_ha", "N_error",
                             "DVF"});
           for (const auto& s : app.structures) {

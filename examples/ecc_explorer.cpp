@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
     config.scheme = scheme;
     config.max_degradation = max_degradation;
     config.step = max_degradation / 15.0;
-    const auto points = explorer.sweep(config);
+    const auto points = explorer.try_sweep(config).value_or_throw();
     for (const auto& pt : points) {
       table.add_row({dvf::num(100.0 * pt.degradation, 3),
                      dvf::to_string(scheme), dvf::num(pt.effective_fit),

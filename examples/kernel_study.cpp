@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
   dvf::ModelSpec spec = kernel->model_spec();
   spec.exec_time_seconds = seconds;
   const dvf::DvfCalculator calc(dvf::Machine::with_cache(cache));
-  const dvf::ApplicationDvf app = calc.for_model(spec);
+  const dvf::ApplicationDvf app = calc.try_for_model(spec).value_or_throw();
 
   std::cout << dvf::banner("kernel study: " + kernel->name() + " (" +
                            kernel->method_class() + ")");
@@ -62,8 +62,8 @@ int main(int argc, char** argv) {
       continue;
     }
     const auto sim_stats = sim.stats(*id);
-    const double estimate = dvf::estimate_accesses(
-        std::span<const dvf::PatternSpec>(ds.patterns), cache);
+    const double estimate = dvf::try_estimate_accesses(
+        std::span<const dvf::PatternSpec>(ds.patterns), cache).value_or_throw();
     const auto* result = app.find(ds.name);
     table.add_row(
         {ds.name, dvf::num(static_cast<double>(counts.counts(*id).total())),

@@ -44,9 +44,11 @@ int main() {
 
   // 3. Evaluate Eq. 1 / Eq. 2.
   dvf::Table table({"structure", "N_ha", "DVF (no ECC)", "DVF (chipkill)"});
-  const dvf::ApplicationDvf base = dvf::DvfCalculator(plain).for_model(model);
-  const dvf::ApplicationDvf ecc =
-      dvf::DvfCalculator(protected_machine).for_model(model);
+  const dvf::ApplicationDvf base =
+      dvf::DvfCalculator(plain).try_for_model(model).value_or_throw();
+  const dvf::ApplicationDvf ecc = dvf::DvfCalculator(protected_machine)
+                                      .try_for_model(model)
+                                      .value_or_throw();
   for (std::size_t i = 0; i < base.structures.size(); ++i) {
     table.add_row({base.structures[i].name, dvf::num(base.structures[i].n_ha),
                    dvf::num(base.structures[i].dvf),

@@ -49,15 +49,15 @@ int main(int argc, char** argv) {
   sim.flush();
 
   const dvf::DvfCalculator calc(dvf::Machine::with_cache(cache));
-  const dvf::ApplicationDvf app = calc.for_model(spec);
+  const dvf::ApplicationDvf app = calc.try_for_model(spec).value_or_throw();
 
   dvf::Table table({"structure", "pattern", "sim_misses", "model_N_ha",
                     "rel_err_%", "DVF"});
   for (const auto& ds : spec.structures) {
     const auto id = *solver.registry().find(ds.name);
     const double simulated = static_cast<double>(sim.stats(id).misses);
-    const double estimate = dvf::estimate_accesses(
-        std::span<const dvf::PatternSpec>(ds.patterns), cache);
+    const double estimate = dvf::try_estimate_accesses(
+        std::span<const dvf::PatternSpec>(ds.patterns), cache).value_or_throw();
     std::string kinds;
     for (const auto& pattern : ds.patterns) {
       if (!kinds.empty()) {

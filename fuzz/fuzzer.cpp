@@ -1025,42 +1025,32 @@ std::vector<MemoryRecord> random_trace_records(Xoshiro256& rng,
 }
 
 std::string serialize_trace(const std::vector<DataStructureInfo>& structures,
-                            const std::vector<MemoryRecord>& records,
-                            TraceFormat format) {
+                            const std::vector<MemoryRecord>& records) {
   std::stringstream stream;
   write_trace(stream, std::span<const DataStructureInfo>(structures),
-              std::span<const MemoryRecord>(records), format);
+              std::span<const MemoryRecord>(records));
   return stream.str();
 }
 
-/// records → bytes → records must be the identity, re-encoding must be a
-/// byte fixpoint, and both formats must decode to the same stream.
+/// records → bytes → records must be the identity and re-encoding must be a
+/// byte fixpoint.
 void check_trace_roundtrip(const std::string& label, Xoshiro256& rng,
                            FuzzReport& report, const FuzzOptions& options) {
   const auto structures = random_structures(rng);
   const auto records = random_trace_records(rng, structures.size());
-  for (const TraceFormat format : {TraceFormat::kV2, TraceFormat::kV1}) {
-    const char* fmt = format == TraceFormat::kV2 ? "v2" : "v1";
-    const std::string bytes = serialize_trace(structures, records, format);
-    std::stringstream in(bytes);
-    const TraceFile decoded = read_trace(in);
-    if (decoded.records != records) {
-      record(report, options,
-             label + ": " + fmt + " decode is not the encoded stream");
-      return;
-    }
-    if (decoded.structures.size() != structures.size()) {
-      record(report, options,
-             label + ": " + fmt + " structure table changed size");
-      return;
-    }
-    const std::string again =
-        serialize_trace(decoded.structures, decoded.records, format);
-    if (again != bytes) {
-      record(report, options,
-             label + ": " + fmt + " re-encode is not a byte fixpoint");
-      return;
-    }
+  const std::string bytes = serialize_trace(structures, records);
+  std::stringstream in(bytes);
+  const TraceFile decoded = read_trace(in);
+  if (decoded.records != records) {
+    record(report, options, label + ": decode is not the encoded stream");
+    return;
+  }
+  if (decoded.structures.size() != structures.size()) {
+    record(report, options, label + ": structure table changed size");
+    return;
+  }
+  if (serialize_trace(decoded.structures, decoded.records) != bytes) {
+    record(report, options, label + ": re-encode is not a byte fixpoint");
   }
 }
 
@@ -1481,9 +1471,7 @@ FuzzReport fuzz_trace(const FuzzOptions& options) {
       // over a mutated corpus seed.
       const auto structures = random_structures(rng);
       const auto records = random_trace_records(rng, structures.size());
-      const TraceFormat format =
-          rng.below(2) == 0 ? TraceFormat::kV2 : TraceFormat::kV1;
-      std::string bytes = serialize_trace(structures, records, format);
+      std::string bytes = serialize_trace(structures, records);
       if (!corpus.empty() && rng.below(4) == 0) {
         bytes = corpus[rng.below(corpus.size())];
       }

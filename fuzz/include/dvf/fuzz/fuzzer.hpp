@@ -21,7 +21,7 @@
 //               two must agree within the documented per-pattern tolerance
 //               (docs/resilience.md "Error taxonomy & totality").
 //
-//   trace     — trace wire formats (v1 native, v2 little-endian chunked):
+//   trace     — the trace wire format (little-endian, chunked):
 //               encode/decode fixpoint on adversarial record streams, and
 //               decode totality on mutated/truncated bytes.
 //

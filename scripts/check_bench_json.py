@@ -13,7 +13,7 @@ downstream trajectory tooling can rely on:
     the harness double-reported);
   - for the cachesim harness specifically: the sharded scenarios carry
     ``threads``/``policy``/``hardware_threads``, and the trace-size records
-    carry consistent ``v1_bytes``/``v2_bytes``/``v1_over_v2``;
+    carry consistent ``records``/``v2_bytes``/``bytes_per_record``;
   - for the serve harness: cold_compile/cache_hit/shed_2x scenarios are all
     present, latency records carry positive ``requests``/``mean_us``, the
     cache-hit record proves the cache actually served hits, and the shed
@@ -98,12 +98,14 @@ def check_file(path: str) -> int:
                 require(record["threads"] >= 2,
                         f"{where}: sharded threads must be >= 2")
             if scenario.startswith("trace_size_"):
-                for key in ("v1_bytes", "v2_bytes", "v1_over_v2"):
+                for key in ("records", "v2_bytes", "bytes_per_record"):
                     require(record.get(key, 0) > 0,
                             f"{where}: trace size needs positive '{key}'")
-                ratio = record["v1_bytes"] / record["v2_bytes"]
-                require(abs(ratio - record["v1_over_v2"]) < 0.01,
-                        f"{where}: v1_over_v2 inconsistent with byte counts")
+                per_record = record["v2_bytes"] / record["records"]
+                require(abs(per_record - record["bytes_per_record"])
+                        <= 1e-3 * per_record,
+                        f"{where}: bytes_per_record inconsistent with "
+                        "v2_bytes / records")
 
     if doc["benchmark"] == "serve":
         for scenario in ("cold_compile", "cache_hit", "shed_2x"):

@@ -2,11 +2,11 @@
 // taxonomy.
 //
 // The analytical evaluators (pattern models, DvfCalculator, the cache/ECC/
-// weighted layers, template expansion) each exist in two forms: a `try_*`
-// variant returning Result<T> that NEVER throws and never yields silent
-// NaN/Inf, and the historical throwing form kept as a thin wrapper. The
-// taxonomy matches the failure modes a multi-tenant evaluation service must
-// distinguish:
+// weighted layers, template expansion) have one form each: a `try_*`
+// function returning Result<T> that NEVER throws and never yields silent
+// NaN/Inf. A caller that wants an exception unwraps with value_or_throw().
+// The taxonomy matches the failure modes a multi-tenant evaluation service
+// must distinguish:
 //
 //   domain_error       a documented precondition was violated (bad spec)
 //   overflow           arithmetic left the representable range (exp/integer)
@@ -64,10 +64,9 @@ struct EvalError {
   }
 };
 
-/// Thrown by the compatibility wrappers for error kinds that have no
-/// historical exception type (overflow, non_finite, resource_limit,
-/// deadline_exceeded). Domain errors keep throwing InvalidArgumentError so
-/// existing callers and tests see the exceptions they always saw.
+/// Thrown by value_or_throw() for error kinds that have no dedicated
+/// exception type (overflow, non_finite, resource_limit, deadline_exceeded,
+/// io_error). Domain errors throw InvalidArgumentError instead.
 class EvaluationError : public Error {
  public:
   explicit EvaluationError(EvalError error)
@@ -112,8 +111,8 @@ class [[nodiscard]] Result {
     return ok() ? value() : std::move(fallback);
   }
 
-  /// Unwraps, rethrowing the taxonomy as the historical exception types:
-  /// domain_error → InvalidArgumentError, everything else → EvaluationError.
+  /// Unwraps, rethrowing the taxonomy as exceptions: domain_error →
+  /// InvalidArgumentError, everything else → EvaluationError.
   T value_or_throw() && {
     if (ok()) {
       return std::get<T>(std::move(state_));

@@ -19,24 +19,17 @@
 
 namespace dvf::dsl {
 
-/// Total form of expand_progression: classified EvalError instead of an
-/// exception. domain_error for an empty start tuple, zero count or a
-/// negative index; overflow when start + r*step leaves the int64 range;
+/// Expands a template progression into the full element-index reference
+/// string: iteration r references start[0]+r*step, start[1]+r*step, ...
+/// Classified EvalError instead of an exception: domain_error for an empty
+/// start tuple, zero count or a progression that would underflow below
+/// element 0; overflow when start + r*step leaves the int64 range;
 /// resource_limit when the expanded size start.size()*count exceeds the
 /// budget's expansion cap (the guard against (0):1:2^62-style expansion
 /// bombs). `budget` may be null (process-default limits apply).
 [[nodiscard]] Result<std::vector<std::uint64_t>> try_expand_progression(
     std::span<const std::int64_t> start, std::int64_t step,
     std::uint64_t count, EvalBudget* budget = nullptr);
-
-/// Expands a template progression into the full element-index reference
-/// string: iteration r references start[0]+r*step, start[1]+r*step, ...
-/// Throws InvalidArgumentError on empty start, zero count, or a progression
-/// that would underflow below element 0 (thin wrapper over
-/// try_expand_progression).
-[[nodiscard]] std::vector<std::uint64_t> expand_progression(
-    std::span<const std::int64_t> start, std::int64_t step,
-    std::uint64_t count);
 
 /// One phase of an access order: the structures accessed (concurrently when
 /// more than one).

@@ -49,12 +49,6 @@ Result<std::vector<std::uint64_t>> try_expand_progression(
   return out;
 }
 
-std::vector<std::uint64_t> expand_progression(
-    std::span<const std::int64_t> start, std::int64_t step,
-    std::uint64_t count) {
-  return try_expand_progression(start, step, count).value_or_throw();
-}
-
 std::uint64_t AccessOrder::appearances(std::string_view name) const {
   std::uint64_t n = 0;
   for (const AccessPhase& phase : phases) {

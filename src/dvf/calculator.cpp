@@ -66,10 +66,6 @@ Result<double> DvfCalculator::try_main_memory_accesses(
       std::span<const PatternSpec>(ds.patterns), machine_.llc, budget_));
 }
 
-double DvfCalculator::main_memory_accesses(const DataStructureSpec& ds) const {
-  return try_main_memory_accesses(ds).value_or_throw();
-}
-
 Result<StructureDvf> DvfCalculator::eval_structure(
     const DataStructureSpec& ds, double exec_time_seconds) const {
   if (!std::isfinite(exec_time_seconds)) {
@@ -103,11 +99,6 @@ Result<StructureDvf> DvfCalculator::try_for_structure(
   return counted(eval_structure(ds, exec_time_seconds));
 }
 
-StructureDvf DvfCalculator::for_structure(const DataStructureSpec& ds,
-                                          double exec_time_seconds) const {
-  return try_for_structure(ds, exec_time_seconds).value_or_throw();
-}
-
 Result<ApplicationDvf> DvfCalculator::try_for_model(
     const ModelSpec& model) const {
   if (!model.exec_time_seconds.has_value()) {
@@ -118,15 +109,6 @@ Result<ApplicationDvf> DvfCalculator::try_for_model(
             "model"});
   }
   return try_for_model(model, *model.exec_time_seconds);
-}
-
-ApplicationDvf DvfCalculator::for_model(const ModelSpec& model) const {
-  if (!model.exec_time_seconds.has_value()) {
-    throw SemanticError("model '" + model.name +
-                        "' has no execution time; measure the kernel or set "
-                        "one in the model");
-  }
-  return for_model(model, *model.exec_time_seconds);
 }
 
 Result<ApplicationDvf> DvfCalculator::try_for_model(
@@ -215,11 +197,6 @@ Result<ApplicationDvf> DvfCalculator::try_for_model(
     count_eval_error(err.kind);
     return err;
   }
-}
-
-ApplicationDvf DvfCalculator::for_model(const ModelSpec& model,
-                                        double exec_time_seconds) const {
-  return try_for_model(model, exec_time_seconds).value_or_throw();
 }
 
 }  // namespace dvf

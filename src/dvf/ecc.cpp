@@ -75,11 +75,6 @@ Result<std::vector<EccTradeoffPoint>> EccTradeoffExplorer::try_sweep(
   return points;
 }
 
-std::vector<EccTradeoffPoint> EccTradeoffExplorer::sweep(
-    const EccSweepConfig& config) const {
-  return try_sweep(config).value_or_throw();
-}
-
 double EccTradeoffExplorer::optimal_degradation(
     const std::vector<EccTradeoffPoint>& points) {
   DVF_CHECK_MSG(!points.empty(), "sweep produced no points");

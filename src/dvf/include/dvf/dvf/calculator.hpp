@@ -51,40 +51,33 @@ class DvfCalculator {
   void set_threads(unsigned threads) noexcept { threads_ = threads; }
 
   /// Attaches a resource budget applied to every evaluation through this
-  /// calculator (try_* and throwing forms alike). The budget must outlive
-  /// the calculator's use; nullptr restores the process-default limits.
-  /// Shared safely by the parallel fan-out (EvalBudget is thread-safe).
+  /// calculator. The budget must outlive the calculator's use; nullptr
+  /// restores the process-default limits. Shared safely by the parallel
+  /// fan-out (EvalBudget is thread-safe).
   void set_budget(EvalBudget* budget) noexcept { budget_ = budget; }
   [[nodiscard]] EvalBudget* budget() const noexcept { return budget_; }
 
-  /// Total forms: classified EvalError instead of an exception. Errors from
-  /// a structure's evaluation are annotated with the structure's name; the
-  /// parallel fan-out reports the lowest-index failure deterministically.
-  /// A missing execution time in try_for_model(model) is a domain_error.
-  [[nodiscard]] Result<double> try_main_memory_accesses(
-      const DataStructureSpec& ds) const;
-  [[nodiscard]] Result<StructureDvf> try_for_structure(
-      const DataStructureSpec& ds, double exec_time_seconds) const;
-  [[nodiscard]] Result<ApplicationDvf> try_for_model(
-      const ModelSpec& model) const;
-  [[nodiscard]] Result<ApplicationDvf> try_for_model(
-      const ModelSpec& model, double exec_time_seconds) const;
+  // Every evaluation returns a classified EvalError instead of throwing.
+  // Errors from a structure's evaluation are annotated with the structure's
+  // name; the parallel fan-out reports the lowest-index failure
+  // deterministically.
 
   /// N_ha of one data structure on this machine's LLC.
-  [[nodiscard]] double main_memory_accesses(const DataStructureSpec& ds) const;
+  [[nodiscard]] Result<double> try_main_memory_accesses(
+      const DataStructureSpec& ds) const;
 
-  /// Eq. 1. `exec_time_seconds` is T; throws InvalidArgumentError when
-  /// negative.
-  [[nodiscard]] StructureDvf for_structure(const DataStructureSpec& ds,
-                                           double exec_time_seconds) const;
+  /// Eq. 1. `exec_time_seconds` is T; a negative T is a domain_error.
+  [[nodiscard]] Result<StructureDvf> try_for_structure(
+      const DataStructureSpec& ds, double exec_time_seconds) const;
 
   /// Eq. 2 over all structures of the model. The model must carry an
-  /// execution time (measured or modeled); throws SemanticError otherwise.
-  [[nodiscard]] ApplicationDvf for_model(const ModelSpec& model) const;
+  /// execution time (measured or modeled); a missing one is a domain_error.
+  [[nodiscard]] Result<ApplicationDvf> try_for_model(
+      const ModelSpec& model) const;
 
   /// As above but overriding T (used by studies that sweep time).
-  [[nodiscard]] ApplicationDvf for_model(const ModelSpec& model,
-                                         double exec_time_seconds) const;
+  [[nodiscard]] Result<ApplicationDvf> try_for_model(
+      const ModelSpec& model, double exec_time_seconds) const;
 
   [[nodiscard]] const Machine& machine() const noexcept { return machine_; }
 

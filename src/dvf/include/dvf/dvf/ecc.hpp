@@ -56,16 +56,12 @@ class EccTradeoffExplorer {
   /// process-default limits).
   void set_budget(EvalBudget* budget) noexcept { budget_ = budget; }
 
-  /// Total form of sweep: domain_error for an invalid config (including
-  /// non-finite step/bounds), resource_limit when the step would produce
-  /// more than kMaxSweepPoints points, and any per-point evaluation error
-  /// annotated with the degradation at which it occurred.
+  /// Runs the sweep; the model must carry an execution time. domain_error
+  /// for an invalid config (including non-finite step/bounds),
+  /// resource_limit when the step would produce more than kMaxSweepPoints
+  /// points, and any per-point evaluation error annotated with the
+  /// degradation at which it occurred.
   [[nodiscard]] Result<std::vector<EccTradeoffPoint>> try_sweep(
-      const EccSweepConfig& config) const;
-
-  /// Runs the sweep; the model must carry an execution time. Thin wrapper
-  /// over try_sweep.
-  [[nodiscard]] std::vector<EccTradeoffPoint> sweep(
       const EccSweepConfig& config) const;
 
   /// Degradation of the sweep's minimum-DVF point.

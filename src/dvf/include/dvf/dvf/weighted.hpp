@@ -21,24 +21,16 @@ struct DvfWeights {
   double access_weight = 1.0;  ///< beta — exponent on N_ha
 };
 
-/// Total form of weighted_dvf: pow overflow (large bases with large
-/// exponents reach inf fast) and NaN (negative base with fractional
-/// exponent) are classified instead of returned.
+/// Weighted DVF of an already-evaluated structure. pow overflow (large
+/// bases with large exponents reach inf fast) and NaN (negative base with
+/// fractional exponent) are classified instead of returned.
 [[nodiscard]] Result<double> try_weighted_dvf(const StructureDvf& structure,
                                               const DvfWeights& weights);
 
-/// Total form of weighted_application_dvf; a per-structure error is
-/// annotated with the structure's name.
+/// Weighted DVF_a: the weighted per-structure values summed (Eq. 2 applied
+/// to the refined metric); a per-structure error is annotated with the
+/// structure's name.
 [[nodiscard]] Result<double> try_weighted_application_dvf(
     const ApplicationDvf& app, const DvfWeights& weights);
-
-/// Weighted DVF of an already-evaluated structure.
-[[nodiscard]] double weighted_dvf(const StructureDvf& structure,
-                                  const DvfWeights& weights);
-
-/// Weighted DVF_a: the weighted per-structure values summed (Eq. 2 applied
-/// to the refined metric).
-[[nodiscard]] double weighted_application_dvf(const ApplicationDvf& app,
-                                              const DvfWeights& weights);
 
 }  // namespace dvf

@@ -48,13 +48,13 @@ ProtectionPlanner::ProtectionPlanner(Machine machine, ModelSpec model,
   const DvfCalculator calc(machine_);
   double total_traffic = 0.0;
   for (const DataStructureSpec& ds : model_.structures) {
-    n_ha_.push_back(calc.main_memory_accesses(ds));
+    n_ha_.push_back(calc.try_main_memory_accesses(ds).value_or_throw());
     total_traffic += n_ha_.back();
   }
   for (const double n : n_ha_) {
     shares_.push_back(total_traffic == 0.0 ? 0.0 : n / total_traffic);
   }
-  baseline_dvf_ = calc.for_model(model_).total;
+  baseline_dvf_ = calc.try_for_model(model_).value_or_throw().total;
 }
 
 ProtectionPlan ProtectionPlanner::evaluate(

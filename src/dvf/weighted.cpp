@@ -28,10 +28,6 @@ Result<double> try_weighted_dvf(const StructureDvf& structure,
   return finite_or_error(error_term * access_term, "weighted DVF");
 }
 
-double weighted_dvf(const StructureDvf& structure, const DvfWeights& weights) {
-  return try_weighted_dvf(structure, weights).value_or_throw();
-}
-
 Result<double> try_weighted_application_dvf(const ApplicationDvf& app,
                                             const DvfWeights& weights) {
   math::KahanSum total;
@@ -45,11 +41,6 @@ Result<double> try_weighted_application_dvf(const ApplicationDvf& app,
     total.add(*structure_result);
   }
   return finite_or_error(total.value(), "weighted application DVF");
-}
-
-double weighted_application_dvf(const ApplicationDvf& app,
-                                const DvfWeights& weights) {
-  return try_weighted_application_dvf(app, weights).value_or_throw();
 }
 
 }  // namespace dvf

@@ -40,7 +40,12 @@ class VectorMultiply {
         load(rec, a_id_, a_, ia);
         load(rec, b_id_, b_, ib);
         load(rec, c_id_, c_, ic);
-        c_[ic] = static_cast<Element>(c_[ic] + a_[ia] * b_[ib]);
+        // Wrapping two's-complement arithmetic: a flipped bit can push the
+        // product past int32, which is UB in signed arithmetic.
+        using Bits = std::uint32_t;
+        c_[ic] = static_cast<Element>(
+            static_cast<Bits>(c_[ic]) +
+            static_cast<Bits>(a_[ia]) * static_cast<Bits>(b_[ib]));
         store(rec, c_id_, c_, ic);
       }
     }

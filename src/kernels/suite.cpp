@@ -166,7 +166,7 @@ std::vector<SuiteEvaluation> evaluate_suite(
     out.exec_time_seconds = kernel.run_timed();
     ModelSpec spec = kernel.model_spec();
     spec.exec_time_seconds = out.exec_time_seconds;
-    out.dvf = calc.for_model(spec);
+    out.dvf = calc.try_for_model(spec).value_or_throw();
   });
   return results;
 }

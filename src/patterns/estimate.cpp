@@ -74,13 +74,4 @@ Result<double> try_estimate_accesses(std::span<const PatternSpec> phases,
   return finite_or_error(sum.value(), "composed pattern estimate");
 }
 
-double estimate_accesses(const PatternSpec& spec, const CacheConfig& cache) {
-  return try_estimate_accesses(spec, cache).value_or_throw();
-}
-
-double estimate_accesses(std::span<const PatternSpec> phases,
-                         const CacheConfig& cache) {
-  return try_estimate_accesses(phases, cache).value_or_throw();
-}
-
 }  // namespace dvf

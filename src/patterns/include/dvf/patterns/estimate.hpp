@@ -14,8 +14,7 @@
 
 namespace dvf {
 
-/// Total dispatch: estimated main-memory accesses of one pattern phase as a
-/// Result. Classified EvalError instead of an exception on invalid specs,
+/// Estimated main-memory accesses of one pattern phase. Classified EvalError instead of an exception on invalid specs,
 /// overflow, non-finite intermediates, budget exhaustion, or deadline
 /// expiry; allocation failure inside an evaluator is classified as
 /// resource_limit. `budget` may be null (process-default limits apply).
@@ -23,19 +22,12 @@ namespace dvf {
                                                    const CacheConfig& cache,
                                                    EvalBudget* budget = nullptr);
 
-/// Total composition: Kahan-sums the phases' estimates, propagating the
-/// first phase error (annotated with the phase index).
+/// A data structure whose behaviour is a composition of pattern phases
+/// accumulates the phases' estimates (CGPMAC composability): Kahan-sums the
+/// phases' estimates, propagating the first phase error (annotated with the
+/// phase index).
 [[nodiscard]] Result<double> try_estimate_accesses(
     std::span<const PatternSpec> phases, const CacheConfig& cache,
     EvalBudget* budget = nullptr);
-
-/// Estimated main-memory accesses of one pattern phase.
-[[nodiscard]] double estimate_accesses(const PatternSpec& spec,
-                                       const CacheConfig& cache);
-
-/// A data structure whose behaviour is a composition of pattern phases
-/// accumulates the phases' estimates (CGPMAC composability).
-[[nodiscard]] double estimate_accesses(std::span<const PatternSpec> phases,
-                                       const CacheConfig& cache);
 
 }  // namespace dvf

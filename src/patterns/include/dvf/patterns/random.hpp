@@ -25,21 +25,16 @@ namespace dvf {
 [[nodiscard]] double expected_misses_lru_irm(
     std::span<const double> visit_fractions, std::uint64_t cached_elements);
 
-/// Total form of estimate_random: classified EvalError instead of throwing.
-/// domain_error for invalid specs (including non-finite k or histogram
-/// entries), overflow when the population exceeds the checked-combinatorics
-/// range, resource_limit when the Eq. 6 support is larger than the budget
-/// allows, deadline_exceeded when the budget's wall clock expires mid-sum.
+/// Estimated main-memory accesses: compulsory footprint load plus
+/// B_reload = min(B_elm, B_out) per iteration (Eq. 7). Classified EvalError
+/// instead of an exception: domain_error for invalid specs (non-positive
+/// sizes, cache_ratio outside (0, 1], non-finite k or histogram entries),
+/// overflow when the population exceeds the checked-combinatorics range,
+/// resource_limit when the Eq. 6 support is larger than the budget allows,
+/// deadline_exceeded when the budget's wall clock expires mid-sum.
 /// `budget` may be null (process-default limits apply).
 [[nodiscard]] Result<double> try_estimate_random(const RandomSpec& spec,
                                                  const CacheConfig& cache,
                                                  EvalBudget* budget = nullptr);
-
-/// Estimated main-memory accesses: compulsory footprint load plus
-/// B_reload = min(B_elm, B_out) per iteration (Eq. 7).
-/// Throws InvalidArgumentError on non-positive sizes or cache_ratio
-/// outside (0, 1] (thin wrapper over try_estimate_random).
-[[nodiscard]] double estimate_random(const RandomSpec& spec,
-                                     const CacheConfig& cache);
 
 }  // namespace dvf

@@ -41,21 +41,16 @@ namespace dvf {
     const CacheConfig& cache, ReuseScenario scenario,
     ReuseOccupancy occupancy = ReuseOccupancy::kBernoulli);
 
-/// Total form of estimate_reuse: classified EvalError instead of throwing.
-/// domain_error for invalid specs, overflow when the combined footprint
-/// wraps or exceeds the checked-combinatorics range, resource_limit when
-/// the associativity makes the Eq. 13/14 double loop larger than the budget
-/// allows, deadline_exceeded on wall-clock expiry mid-convolution.
-/// `budget` may be null (process-default limits apply).
+/// Estimated main-memory accesses: initial footprint load (F_A blocks) plus,
+/// per reuse round, the expected refetch F_A − N_A·E(R_A) (clamped at 0).
+/// Classified EvalError instead of an exception: domain_error for invalid
+/// specs (including an empty target footprint), overflow when the combined
+/// footprint wraps or exceeds the checked-combinatorics range,
+/// resource_limit when the associativity makes the Eq. 13/14 double loop
+/// larger than the budget allows, deadline_exceeded on wall-clock expiry
+/// mid-convolution. `budget` may be null (process-default limits apply).
 [[nodiscard]] Result<double> try_estimate_reuse(const ReuseSpec& spec,
                                                 const CacheConfig& cache,
                                                 EvalBudget* budget = nullptr);
-
-/// Estimated main-memory accesses: initial footprint load (F_A blocks) plus,
-/// per reuse round, the expected refetch F_A − N_A·E(R_A) (clamped at 0).
-/// Thin wrapper over try_estimate_reuse; throws InvalidArgumentError on an
-/// empty target footprint.
-[[nodiscard]] double estimate_reuse(const ReuseSpec& spec,
-                                    const CacheConfig& cache);
 
 }  // namespace dvf

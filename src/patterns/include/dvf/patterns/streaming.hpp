@@ -17,19 +17,15 @@ namespace dvf {
 [[nodiscard]] double expected_accesses_per_element(std::uint32_t element_bytes,
                                                    std::uint32_t line_bytes);
 
-/// Total form of estimate_streaming: returns a classified EvalError instead
-/// of throwing — domain_error for invalid specs, overflow when the footprint
-/// or stride would wrap 64 bits, non_finite if the estimate degenerates.
-/// `budget` may be null (process-default limits apply).
+/// Estimated number of main-memory accesses for one streaming traversal.
+/// All accesses are compulsory misses; the three cases follow the ordering
+/// of CL, E and S (§III-C). Classified EvalError instead of an exception:
+/// domain_error for invalid specs (zero elements, zero stride), overflow
+/// when the footprint or stride would wrap 64 bits, non_finite if the
+/// estimate degenerates. `budget` may be null (process-default limits
+/// apply).
 [[nodiscard]] Result<double> try_estimate_streaming(
     const StreamingSpec& spec, const CacheConfig& cache,
     EvalBudget* budget = nullptr);
-
-/// Estimated number of main-memory accesses for one streaming traversal.
-/// All accesses are compulsory misses; the three cases follow the ordering
-/// of CL, E and S (§III-C). Throws InvalidArgumentError on a zero-element
-/// spec or zero stride (thin wrapper over try_estimate_streaming).
-[[nodiscard]] double estimate_streaming(const StreamingSpec& spec,
-                                        const CacheConfig& cache);
 
 }  // namespace dvf

@@ -32,22 +32,18 @@ namespace dvf {
     std::span<const std::uint64_t> element_indices, std::uint32_t element_bytes,
     std::uint32_t line_bytes);
 
-/// Total form of estimate_template: classified EvalError instead of
-/// throwing. domain_error for invalid specs, overflow when an element index
-/// times the element size wraps 64-bit byte addressing, resource_limit when
-/// the materialized block string (expansion) or the replayed reference count
-/// (references, charged as string length times repetitions) exceeds the
-/// budget, deadline_exceeded on wall-clock expiry mid-replay. `budget` may be
-/// null (process-default limits apply).
-[[nodiscard]] Result<double> try_estimate_template(const TemplateSpec& spec,
-                                                   const CacheConfig& cache,
-                                                   EvalBudget* budget = nullptr);
-
 /// The two-step counting algorithm. Returns the estimated number of
 /// main-memory accesses for the reference string under a cache with
 /// `cache_ratio * total_blocks` blocks available to this structure.
-/// Thin wrapper over try_estimate_template.
-[[nodiscard]] double estimate_template(const TemplateSpec& spec,
-                                       const CacheConfig& cache);
+/// Classified EvalError instead of an exception: domain_error for invalid
+/// specs, overflow when an element index times the element size wraps 64-bit
+/// byte addressing, resource_limit when the materialized block string
+/// (expansion) or the replayed reference count (references, charged as
+/// string length times repetitions) exceeds the budget, deadline_exceeded on
+/// wall-clock expiry mid-replay. `budget` may be null (process-default
+/// limits apply).
+[[nodiscard]] Result<double> try_estimate_template(const TemplateSpec& spec,
+                                                   const CacheConfig& cache,
+                                                   EvalBudget* budget = nullptr);
 
 }  // namespace dvf

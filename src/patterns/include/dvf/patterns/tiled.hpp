@@ -10,15 +10,6 @@
 
 namespace dvf {
 
-/// Total form of estimate_tiled: returns a classified EvalError instead of
-/// throwing — domain_error for invalid specs (zero dims, degenerate tile,
-/// ratio outside (0, 1]), overflow when the footprint or tile size would
-/// wrap 64 bits, non_finite if the estimate degenerates. `budget` may be
-/// null (process-default limits apply).
-[[nodiscard]] Result<double> try_estimate_tiled(const TiledSpec& spec,
-                                                const CacheConfig& cache,
-                                                EvalBudget* budget = nullptr);
-
 /// Estimated main-memory accesses for a tiled traversal. One sweep touches
 /// `sweep_lines` cache lines (every line of the footprint, counted tile
 /// segment by tile segment); which sweeps miss depends on where the
@@ -28,9 +19,13 @@ namespace dvf {
 ///   tile <= share < footprint     N_ha = P * sweep_lines       (Q hits)
 ///   share < tile                  N_ha = P * (1+Q) * sweep_lines
 ///
-/// Throws InvalidArgumentError on a degenerate spec (thin wrapper over
-/// try_estimate_tiled).
-[[nodiscard]] double estimate_tiled(const TiledSpec& spec,
-                                    const CacheConfig& cache);
+/// Classified EvalError instead of an exception: domain_error for invalid
+/// specs (zero dims, degenerate tile, ratio outside (0, 1]), overflow when
+/// the footprint or tile size would wrap 64 bits, non_finite if the
+/// estimate degenerates. `budget` may be null (process-default limits
+/// apply).
+[[nodiscard]] Result<double> try_estimate_tiled(const TiledSpec& spec,
+                                                const CacheConfig& cache,
+                                                EvalBudget* budget = nullptr);
 
 }  // namespace dvf

@@ -234,8 +234,4 @@ Result<double> try_estimate_random(const RandomSpec& spec,
       "random estimate (Eq. 7)");
 }
 
-double estimate_random(const RandomSpec& spec, const CacheConfig& cache) {
-  return try_estimate_random(spec, cache).value_or_throw();
-}
-
 }  // namespace dvf

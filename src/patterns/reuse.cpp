@@ -215,8 +215,4 @@ Result<double> try_estimate_reuse(const ReuseSpec& spec,
       "reuse estimate (Eq. 15)");
 }
 
-double estimate_reuse(const ReuseSpec& spec, const CacheConfig& cache) {
-  return try_estimate_reuse(spec, cache).value_or_throw();
-}
-
 }  // namespace dvf

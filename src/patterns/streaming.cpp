@@ -80,8 +80,4 @@ Result<double> try_estimate_streaming(const StreamingSpec& spec,
   return static_cast<double>(math::ceil_div(d, cl));
 }
 
-double estimate_streaming(const StreamingSpec& spec, const CacheConfig& cache) {
-  return try_estimate_streaming(spec, cache).value_or_throw();
-}
-
 }  // namespace dvf

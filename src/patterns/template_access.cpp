@@ -284,8 +284,4 @@ Result<double> try_estimate_template(const TemplateSpec& spec,
   return static_cast<double>(accesses);
 }
 
-double estimate_template(const TemplateSpec& spec, const CacheConfig& cache) {
-  return try_estimate_template(spec, cache).value_or_throw();
-}
-
 }  // namespace dvf

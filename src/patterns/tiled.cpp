@@ -89,8 +89,4 @@ Result<double> try_estimate_tiled(const TiledSpec& spec,
   return finite_or_error(traversals * sweep_lines, "tiled estimate");
 }
 
-double estimate_tiled(const TiledSpec& spec, const CacheConfig& cache) {
-  return try_estimate_tiled(spec, cache).value_or_throw();
-}
-
 }  // namespace dvf

@@ -4,20 +4,13 @@
 // part of a verification study (generating references) from the cheap part
 // (simulating caches), the same split the paper's Pin-based flow used.
 //
-// Two wire formats:
-//
-//   v1 — flat native-endian records (magic "DVFT", u32 version 1, structure
-//        table, u64 record count, then 17 bytes per record). Still read for
-//        compatibility, with the documented caveat that a v1 trace is only
-//        readable on a machine of the producer's endianness.
-//   v2 — explicitly little-endian with byte-order conversion on read, so
-//        traces are portable across hosts. Records are delta-encoded
-//        (zigzag varint address deltas, size/ds elided when repeated,
-//        constant-stride runs collapsed) and framed into self-contained
-//        chunks, which is what lets dvf::TraceReader stream multi-GB traces
-//        without materializing them. Wire details: src/trace/wire_format.hpp.
-//
-// read_trace() auto-detects the version. write_trace() defaults to v2.
+// One wire format (version 2): explicitly little-endian with byte-order
+// conversion on read, so traces are portable across hosts. Records are
+// delta-encoded (zigzag varint address deltas, size/ds elided when
+// repeated, constant-stride runs collapsed) and framed into self-contained
+// chunks, which is what lets dvf::TraceReader stream multi-GB traces without
+// materializing them. Wire details: src/trace/wire_format.hpp. Readers
+// reject any other version, including the flat native-endian version 1.
 #pragma once
 
 #include <cstdint>
@@ -31,12 +24,6 @@
 
 namespace dvf {
 
-/// Wire format selector for write_trace (read_trace auto-detects).
-enum class TraceFormat : std::uint32_t {
-  kV1 = 1,  ///< flat native-endian records (legacy, non-portable)
-  kV2 = 2,  ///< little-endian, delta-encoded, chunked (default)
-};
-
 /// A deserialized trace: the structure table plus the reference stream.
 struct TraceFile {
   std::vector<DataStructureInfo> structures;
@@ -46,17 +33,14 @@ struct TraceFile {
 /// Serializes a trace. Throws Error on I/O failure.
 void write_trace(std::ostream& out,
                  std::span<const DataStructureInfo> structures,
-                 std::span<const MemoryRecord> records,
-                 TraceFormat format = TraceFormat::kV2);
+                 std::span<const MemoryRecord> records);
 void write_trace(std::ostream& out, const DataStructureRegistry& registry,
-                 const std::vector<MemoryRecord>& records,
-                 TraceFormat format = TraceFormat::kV2);
+                 const std::vector<MemoryRecord>& records);
 void write_trace_file(const std::string& path,
                       const DataStructureRegistry& registry,
-                      const std::vector<MemoryRecord>& records,
-                      TraceFormat format = TraceFormat::kV2);
+                      const std::vector<MemoryRecord>& records);
 
-/// Deserializes a trace of either version into memory. Throws Error on
+/// Deserializes a trace into memory. Throws Error on
 /// malformed input (bad magic, unsupported version, truncated stream,
 /// out-of-range structure ids). For streams too large to materialize, use
 /// dvf::TraceReader (dvf/trace/trace_reader.hpp) instead.

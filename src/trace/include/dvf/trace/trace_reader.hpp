@@ -10,11 +10,9 @@
 //     sim.replay(reader.next_chunk());
 //   }
 //
-// Both trace format versions stream: v2 is chunked on the wire (each chunk
-// decodes standalone — see src/trace/wire_format.hpp), v1's flat record
-// array is sliced into chunks of the same nominal size on read. The spans
-// returned by next_chunk() alias an internal buffer and are invalidated by
-// the next call.
+// The trace is chunked on the wire and each chunk decodes standalone (see
+// src/trace/wire_format.hpp). The spans returned by next_chunk() alias an
+// internal buffer and are invalidated by the next call.
 //
 // All header fields are treated as untrusted: structure-name lengths, chunk
 // record counts and payload sizes are capped, so a corrupt or truncated
@@ -36,7 +34,8 @@ namespace dvf {
 class TraceReader {
  public:
   /// Reads the header from `in`; the stream must outlive the reader.
-  /// Throws Error on malformed input.
+  /// Throws Error on malformed input, including any version but the current
+  /// one.
   explicit TraceReader(std::istream& in);
   /// Opens `path` and reads the header. Throws Error if the file cannot be
   /// opened or the header is malformed.
@@ -50,8 +49,6 @@ class TraceReader {
       const noexcept {
     return structures_;
   }
-  /// Wire format version of the stream (1 or 2).
-  [[nodiscard]] std::uint32_t version() const noexcept { return version_; }
   [[nodiscard]] std::uint64_t total_records() const noexcept { return total_; }
   [[nodiscard]] std::uint64_t records_delivered() const noexcept {
     return delivered_;
@@ -68,13 +65,10 @@ class TraceReader {
   void read_exact(char* dst, std::size_t bytes);
   [[nodiscard]] std::uint32_t get_u32();
   [[nodiscard]] std::uint64_t get_u64();
-  void next_chunk_v1();
-  void next_chunk_v2();
 
   std::unique_ptr<std::ifstream> owned_;  ///< set by the path constructor
   std::istream* in_ = nullptr;
   std::vector<DataStructureInfo> structures_;
-  std::uint32_t version_ = 0;
   std::uint64_t total_ = 0;
   std::uint64_t delivered_ = 0;
   std::vector<char> scratch_;          ///< raw chunk payload

@@ -1,11 +1,9 @@
 #include "dvf/trace/trace_io.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <fstream>
 #include <istream>
 #include <ostream>
-
 #include <sstream>
 
 #include "dvf/common/error.hpp"
@@ -18,11 +16,6 @@ namespace dvf {
 
 namespace {
 
-template <typename T>
-void put_native(std::ostream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
 void put_le32(std::ostream& out, std::uint32_t value) {
   char bytes[4];
   wire::store_le32(bytes, value);
@@ -33,31 +26,6 @@ void put_le64(std::ostream& out, std::uint64_t value) {
   char bytes[8];
   wire::store_le64(bytes, value);
   out.write(bytes, sizeof(bytes));
-}
-
-void write_trace_v1(std::ostream& out,
-                    std::span<const DataStructureInfo> structures,
-                    std::span<const MemoryRecord> records) {
-  out.write(wire::kMagic, sizeof(wire::kMagic));
-  put_native(out, wire::kVersion1);
-
-  put_native(out, static_cast<std::uint32_t>(structures.size()));
-  for (const DataStructureInfo& info : structures) {
-    put_native(out, static_cast<std::uint32_t>(info.name.size()));
-    out.write(info.name.data(),
-              static_cast<std::streamsize>(info.name.size()));
-    put_native(out, info.base_address);
-    put_native(out, info.size_bytes);
-    put_native(out, info.element_bytes);
-  }
-
-  put_native(out, static_cast<std::uint64_t>(records.size()));
-  for (const MemoryRecord& record : records) {
-    put_native(out, record.address);
-    put_native(out, record.size);
-    put_native(out, static_cast<std::uint32_t>(record.ds));
-    put_native(out, static_cast<std::uint8_t>(record.is_write ? 1 : 0));
-  }
 }
 
 /// Encodes records[begin, end) as one self-contained chunk payload; decoder
@@ -121,11 +89,23 @@ void encode_chunk(std::span<const MemoryRecord> records, std::size_t begin,
   }
 }
 
-void write_trace_v2(std::ostream& out,
-                    std::span<const DataStructureInfo> structures,
-                    std::span<const MemoryRecord> records) {
+}  // namespace
+
+void write_trace(std::ostream& out,
+                 std::span<const DataStructureInfo> structures,
+                 std::span<const MemoryRecord> records) {
+  if (auto fp = DVF_FAILPOINT("trace.write")) {
+    if (fp.kind == failpoint::ActionKind::kShortWrite) {
+      // A torn write: the magic lands, the rest does not — the reader must
+      // classify the result as truncation, never crash on it.
+      out.write(wire::kMagic, sizeof(wire::kMagic));
+    }
+    out.setstate(std::ios::failbit);
+    throw Error(io::errno_message("trace write failed (injected)",
+                                  fp.error_code));
+  }
   out.write(wire::kMagic, sizeof(wire::kMagic));
-  put_le32(out, wire::kVersion2);
+  put_le32(out, wire::kVersion);
 
   put_le32(out, static_cast<std::uint32_t>(structures.size()));
   for (const DataStructureInfo& info : structures) {
@@ -148,52 +128,26 @@ void write_trace_v2(std::ostream& out,
     put_le32(out, static_cast<std::uint32_t>(payload.size()));
     out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
   }
-}
-
-}  // namespace
-
-void write_trace(std::ostream& out,
-                 std::span<const DataStructureInfo> structures,
-                 std::span<const MemoryRecord> records, TraceFormat format) {
-  if (auto fp = DVF_FAILPOINT("trace.write")) {
-    if (fp.kind == failpoint::ActionKind::kShortWrite) {
-      // A torn write: the magic lands, the rest does not — the reader must
-      // classify the result as truncation, never crash on it.
-      out.write(wire::kMagic, sizeof(wire::kMagic));
-    }
-    out.setstate(std::ios::failbit);
-    throw Error(io::errno_message("trace write failed (injected)",
-                                  fp.error_code));
-  }
-  switch (format) {
-    case TraceFormat::kV1:
-      write_trace_v1(out, structures, records);
-      break;
-    case TraceFormat::kV2:
-      write_trace_v2(out, structures, records);
-      break;
-  }
   if (!out) {
     throw Error("trace write failed");
   }
 }
 
 void write_trace(std::ostream& out, const DataStructureRegistry& registry,
-                 const std::vector<MemoryRecord>& records, TraceFormat format) {
+                 const std::vector<MemoryRecord>& records) {
   write_trace(out,
               std::span<const DataStructureInfo>(registry.begin(),
                                                  registry.end()),
-              std::span<const MemoryRecord>(records), format);
+              std::span<const MemoryRecord>(records));
 }
 
 void write_trace_file(const std::string& path,
                       const DataStructureRegistry& registry,
-                      const std::vector<MemoryRecord>& records,
-                      TraceFormat format) {
+                      const std::vector<MemoryRecord>& records) {
   // Render in memory, then land atomically (write-temp-then-rename), so a
   // crash or full disk mid-write can never leave a torn trace under `path`.
   std::ostringstream out(std::ios::binary);
-  write_trace(out, registry, records, format);
+  write_trace(out, registry, records);
   auto written = io::write_file_atomic(path, out.str());
   if (!written.ok()) {
     throw Error("cannot write trace file: " + written.error().describe());

@@ -1,6 +1,5 @@
 #include "dvf/trace/trace_reader.hpp"
 
-#include <bit>
 #include <cstring>
 #include <fstream>
 #include <istream>
@@ -9,15 +8,6 @@
 #include "wire_format.hpp"
 
 namespace dvf {
-
-namespace {
-
-std::uint32_t byte_swapped(std::uint32_t v) {
-  return ((v >> 24) & 0xFFu) | ((v >> 8) & 0xFF00u) | ((v << 8) & 0xFF0000u) |
-         (v << 24);
-}
-
-}  // namespace
 
 TraceReader::TraceReader(std::istream& in) : in_(&in) { read_header(); }
 
@@ -42,23 +32,13 @@ void TraceReader::read_exact(char* dst, std::size_t bytes) {
 std::uint32_t TraceReader::get_u32() {
   char bytes[4];
   read_exact(bytes, sizeof(bytes));
-  if (version_ == wire::kVersion2) {
-    return wire::load_le32(bytes);
-  }
-  std::uint32_t value;
-  std::memcpy(&value, bytes, sizeof(value));
-  return value;
+  return wire::load_le32(bytes);
 }
 
 std::uint64_t TraceReader::get_u64() {
   char bytes[8];
   read_exact(bytes, sizeof(bytes));
-  if (version_ == wire::kVersion2) {
-    return wire::load_le64(bytes);
-  }
-  std::uint64_t value;
-  std::memcpy(&value, bytes, sizeof(value));
-  return value;
+  return wire::load_le64(bytes);
 }
 
 void TraceReader::read_header() {
@@ -68,38 +48,14 @@ void TraceReader::read_header() {
     throw Error("not a DVF trace (bad magic)");
   }
 
-  // v2 is little-endian on the wire; v1 is producer-native (readable only on
-  // a machine of the same endianness). Try the LE interpretation first so a
-  // v2 stream parses on any host, then fall back to the native read for v1.
-  char version_bytes[4];
-  read_exact(version_bytes, sizeof(version_bytes));
-  if (wire::load_le32(version_bytes) == wire::kVersion2) {
-    version_ = wire::kVersion2;
-  } else {
-    std::uint32_t native;
-    std::memcpy(&native, version_bytes, sizeof(native));
-    if (native == wire::kVersion1) {
-      if constexpr (std::endian::native != std::endian::little) {
-        // A v1 stream carries no endianness marker: on a big-endian host
-        // every later u32/u64 field would be read with this host's byte
-        // order, which matches the producer's only by coincidence. Refuse
-        // instead of silently misreading.
-        throw Error(
-            "v1 traces are producer-native-endian and not supported on "
-            "big-endian hosts; re-record with --format v2");
-      }
-      version_ = wire::kVersion1;
-    } else if (byte_swapped(native) == wire::kVersion1 ||
-               byte_swapped(native) == wire::kVersion2) {
-      // The version field decodes correctly only with the opposite byte
-      // order: the trace was written by a host of foreign endianness.
-      throw Error(
-          "trace header is byte-swapped (written on a host of opposite "
-          "endianness); v1 traces are producer-native — re-record with "
-          "--format v2");
-    } else {
-      throw Error("unsupported trace version " + std::to_string(native));
-    }
+  // Every field is little-endian on the wire, so a trace parses on any host.
+  // Version 1 (flat native-endian records) and byte-swapped headers fail
+  // this check like any other unknown version.
+  const std::uint32_t version = get_u32();
+  if (version != wire::kVersion) {
+    throw Error("unsupported trace version " + std::to_string(version) +
+                " (expected " + std::to_string(wire::kVersion) +
+                "); re-record the trace with dvfc trace");
   }
 
   const std::uint32_t n_structures = get_u32();
@@ -126,42 +82,6 @@ std::span<const MemoryRecord> TraceReader::next_chunk() {
   if (done()) {
     return {};
   }
-  if (version_ == wire::kVersion2) {
-    next_chunk_v2();
-  } else {
-    next_chunk_v1();
-  }
-  return buffer_;
-}
-
-void TraceReader::next_chunk_v1() {
-  // v1 has no chunking on the wire: slice the flat record array into chunks
-  // of the writer's nominal v2 chunk size.
-  constexpr std::size_t kV1RecordBytes = 8 + 4 + 4 + 1;
-  const std::uint64_t count =
-      std::min<std::uint64_t>(total_ - delivered_, wire::kWriterChunkRecords);
-  scratch_.resize(static_cast<std::size_t>(count) * kV1RecordBytes);
-  read_exact(scratch_.data(), scratch_.size());
-
-  buffer_.clear();
-  buffer_.reserve(static_cast<std::size_t>(count));
-  const char* cursor = scratch_.data();
-  for (std::uint64_t i = 0; i < count; ++i) {
-    MemoryRecord record{};
-    std::memcpy(&record.address, cursor, 8);
-    std::memcpy(&record.size, cursor + 8, 4);
-    std::memcpy(&record.ds, cursor + 12, 4);
-    record.is_write = cursor[16] != 0;
-    cursor += kV1RecordBytes;
-    if (record.ds != kNoDs && record.ds >= structures_.size()) {
-      throw Error("trace record references an unknown structure id");
-    }
-    buffer_.push_back(record);
-  }
-  delivered_ += count;
-}
-
-void TraceReader::next_chunk_v2() {
   const std::uint32_t count = get_u32();
   const std::uint32_t payload_len = get_u32();
   if (count == 0) {
@@ -243,6 +163,7 @@ void TraceReader::next_chunk_v2() {
     throw Error("trailing bytes in trace chunk payload");
   }
   delivered_ += count;
+  return buffer_;
 }
 
 }  // namespace dvf

@@ -1,11 +1,8 @@
 // Private wire-format helpers shared by the trace writer (trace_io.cpp) and
 // the streaming reader (trace_reader.cpp). Not installed; include relative.
 //
-// v1 ("DVFT", version 1): flat native-endian records — fast but only
-// readable on a machine of the producer's endianness (documented caveat).
-//
-// v2 ("DVFT", version 2): explicitly little-endian everywhere, with the
-// record stream split into self-contained chunks:
+// The format ("DVFT", version 2) is explicitly little-endian everywhere,
+// with the record stream split into self-contained chunks:
 //
 //   magic "DVFT", u32le version = 2,
 //   u32le structure count, then per structure:
@@ -46,8 +43,9 @@
 namespace dvf::wire {
 
 inline constexpr char kMagic[4] = {'D', 'V', 'F', 'T'};
-inline constexpr std::uint32_t kVersion1 = 1;
-inline constexpr std::uint32_t kVersion2 = 2;
+/// The only version written and read. Version 1 (flat native-endian
+/// records) is rejected.
+inline constexpr std::uint32_t kVersion = 2;
 
 /// Caps on untrusted header fields, so a corrupt stream cannot drive a
 /// multi-gigabyte allocation before truncation is detected.

@@ -3,15 +3,14 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <map>
-#include <string>
 #include <vector>
 
 #include "dvf/common/error.hpp"
 #include "dvf/common/rng.hpp"
 #include "dvf/machine/cache_config.hpp"
 #include "dvf/trace/registry.hpp"
+#include "cache_config_printer.hpp"
 
 namespace dvf {
 namespace {
@@ -277,12 +276,7 @@ INSTANTIATE_TEST_SUITE_P(
         CacheConfig("pow2-64set", 4, 64, 32),    // mask path
         CacheConfig("mod-60set", 4, 60, 32),     // modulo fallback
         CacheConfig("pow2-1set", 2, 1, 16),      // degenerate mask (sets=1)
-        CacheConfig("mod-3set", 2, 3, 16)),      // tiny non-pow2
-    [](const ::testing::TestParamInfo<CacheConfig>& param_info) {
-      std::string name = param_info.param.name();
-      std::replace(name.begin(), name.end(), '-', '_');
-      return name;
-    });
+        CacheConfig("mod-3set", 2, 3, 16)));     // tiny non-pow2
 
 TEST(CacheSimulatorReplay, BatchedReplayMatchesPerCallAccess) {
   const auto records = mixed_reference_string();

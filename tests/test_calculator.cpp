@@ -31,7 +31,8 @@ Machine machine() { return Machine::with_cache(caches::small_verification()); }
 TEST(Calculator, Eq1DecomposesAsDocumented) {
   const DvfCalculator calc(machine());
   const ModelSpec model = streaming_model();
-  const StructureDvf result = calc.for_structure(model.structures[0], 2.0);
+  const StructureDvf result =
+      calc.try_for_structure(model.structures[0], 2.0).value_or_throw();
 
   EXPECT_EQ(result.name, "A");
   EXPECT_DOUBLE_EQ(result.size_bytes, 80000.0);
@@ -45,7 +46,7 @@ TEST(Calculator, Eq2SumsStructures) {
   ModelSpec model = streaming_model();
   model.structures.push_back(model.structures[0]);
   model.structures[1].name = "B";
-  const ApplicationDvf app = calc.for_model(model);
+  const ApplicationDvf app = calc.try_for_model(model).value_or_throw();
   ASSERT_EQ(app.structures.size(), 2u);
   EXPECT_DOUBLE_EQ(app.total, app.structures[0].dvf + app.structures[1].dvf);
   EXPECT_NE(app.find("B"), nullptr);
@@ -55,8 +56,8 @@ TEST(Calculator, Eq2SumsStructures) {
 TEST(Calculator, DvfLinearInTime) {
   const DvfCalculator calc(machine());
   const ModelSpec model = streaming_model();
-  const double at2 = calc.for_model(model, 2.0).total;
-  const double at4 = calc.for_model(model, 4.0).total;
+  const double at2 = calc.try_for_model(model, 2.0).value_or_throw().total;
+  const double at4 = calc.try_for_model(model, 4.0).value_or_throw().total;
   EXPECT_DOUBLE_EQ(at4, 2.0 * at2);
 }
 
@@ -66,34 +67,39 @@ TEST(Calculator, DvfLinearInFit) {
                                   MemoryModel(5000.0)));
   const DvfCalculator tenth(Machine("m2", caches::small_verification(),
                                     MemoryModel(500.0)));
-  EXPECT_DOUBLE_EQ(raw.for_model(model).total,
-                   10.0 * tenth.for_model(model).total);
+  EXPECT_DOUBLE_EQ(raw.try_for_model(model).value_or_throw().total,
+                   10.0 * tenth.try_for_model(model).value_or_throw().total);
 }
 
 TEST(Calculator, CompositePatternsSumTheirPhases) {
   const DvfCalculator calc(machine());
   ModelSpec model = streaming_model();
-  const double single = calc.for_model(model).total;
+  const double single = calc.try_for_model(model).value_or_throw().total;
   model.structures[0].patterns.push_back(model.structures[0].patterns[0]);
-  EXPECT_DOUBLE_EQ(calc.for_model(model).total, 2.0 * single);
+  EXPECT_DOUBLE_EQ(calc.try_for_model(model).value_or_throw().total,
+                   2.0 * single);
 }
 
 TEST(Calculator, MissingTimeIsAnError) {
   const DvfCalculator calc(machine());
   ModelSpec model = streaming_model();
   model.exec_time_seconds.reset();
-  EXPECT_THROW((void)calc.for_model(model), SemanticError);
-  EXPECT_NO_THROW((void)calc.for_model(model, 1.0));
+  const auto missing = calc.try_for_model(model);
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.error().kind, ErrorKind::kDomainError);
+  EXPECT_TRUE(calc.try_for_model(model, 1.0).ok());
 }
 
 TEST(Calculator, RejectsNegativeTimeAndEmptyStructures) {
   const DvfCalculator calc(machine());
   const ModelSpec model = streaming_model();
-  EXPECT_THROW((void)calc.for_structure(model.structures[0], -1.0),
-               InvalidArgumentError);
+  EXPECT_THROW(
+      (void)calc.try_for_structure(model.structures[0], -1.0).value_or_throw(),
+      InvalidArgumentError);
   DataStructureSpec empty;
   empty.name = "zero";
-  EXPECT_THROW((void)calc.for_structure(empty, 1.0), InvalidArgumentError);
+  EXPECT_THROW((void)calc.try_for_structure(empty, 1.0).value_or_throw(),
+               InvalidArgumentError);
 }
 
 TEST(ModelSpec, WorkingSetAndLookup) {

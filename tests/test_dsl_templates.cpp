@@ -10,21 +10,24 @@ namespace {
 
 TEST(Progression, ExpandsStartTupleByStep) {
   const std::vector<std::int64_t> start = {2, 7};
-  const auto out = expand_progression(start, 3, 3);
+  const auto out = try_expand_progression(start, 3, 3).value_or_throw();
   EXPECT_EQ(out, (std::vector<std::uint64_t>{2, 7, 5, 10, 8, 13}));
 }
 
 TEST(Progression, NegativeStepsAllowedWhileNonNegative) {
   const std::vector<std::int64_t> start = {10};
-  const auto out = expand_progression(start, -5, 3);
+  const auto out = try_expand_progression(start, -5, 3).value_or_throw();
   EXPECT_EQ(out, (std::vector<std::uint64_t>{10, 5, 0}));
 }
 
 TEST(Progression, RejectsUnderflowAndEmpties) {
   const std::vector<std::int64_t> start = {4};
-  EXPECT_THROW((void)expand_progression(start, -5, 3), InvalidArgumentError);
-  EXPECT_THROW((void)expand_progression({}, 1, 3), InvalidArgumentError);
-  EXPECT_THROW((void)expand_progression(start, 1, 0), InvalidArgumentError);
+  EXPECT_THROW((void)try_expand_progression(start, -5, 3).value_or_throw(),
+               InvalidArgumentError);
+  EXPECT_THROW((void)try_expand_progression({}, 1, 3).value_or_throw(),
+               InvalidArgumentError);
+  EXPECT_THROW((void)try_expand_progression(start, 1, 0).value_or_throw(),
+               InvalidArgumentError);
 }
 
 TEST(AccessOrder, ParsesThePaperString) {

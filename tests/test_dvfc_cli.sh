@@ -36,16 +36,19 @@ expect_exit 2 "expects" campaign VM --ci-width nope
 expect_exit 2 "expects" campaign VM --ci-width inf
 expect_exit 2 "expects" replay /dev/null --threads abc
 expect_exit 2 "expects lru, plru or rrip" replay /dev/null --policy fifo
-expect_exit 2 "expects v1 or v2" trace VM /dev/null --format v3
+expect_exit 2 "unknown option --format" trace VM /dev/null --format v1
 expect_exit 2 "unknown option --policy" trace VM /dev/null --policy lru
 
-# --- the sharded trace/replay round trip, both wire formats -----------------
+# --- the sharded trace/replay round trip ------------------------------------
 TMP_TRACE=$(mktemp --suffix=.dvft)
 expect_exit 0 - trace VM "$TMP_TRACE"
 expect_exit 0 - replay "$TMP_TRACE" --threads 4 --policy rrip
-expect_exit 0 - trace VM "$TMP_TRACE" --format v1
 expect_exit 0 - replay "$TMP_TRACE" --threads 2
 rm -f "$TMP_TRACE"
+# A version-1 trace is refused with the version read and the fix.
+V1_TRACE="$(cd "$(dirname "$0")" && pwd)/fuzz_corpus/tiny_v1.dvft"
+expect_exit 1 "unsupported trace version 1 " replay "$V1_TRACE"
+expect_exit 1 "re-record the trace with dvfc trace" replay "$V1_TRACE"
 
 # --- the global --deadline flag ---------------------------------------------
 expect_exit 2 "positive number of seconds" kernels --deadline -5

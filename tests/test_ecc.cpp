@@ -31,7 +31,7 @@ EccTradeoffExplorer explorer() {
 
 TEST(EccSweep, ZeroDegradationMeansNoProtection) {
   EccSweepConfig config;
-  const auto points = explorer().sweep(config);
+  const auto points = explorer().try_sweep(config).value_or_throw();
   ASSERT_FALSE(points.empty());
   EXPECT_DOUBLE_EQ(points.front().degradation, 0.0);
   EXPECT_DOUBLE_EQ(points.front().coverage, 0.0);
@@ -41,7 +41,7 @@ TEST(EccSweep, ZeroDegradationMeansNoProtection) {
 TEST(EccSweep, CoverageSaturatesAtFullCoverageDegradation) {
   EccSweepConfig config;
   config.full_coverage_degradation = 0.05;
-  const auto points = explorer().sweep(config);
+  const auto points = explorer().try_sweep(config).value_or_throw();
   for (const auto& pt : points) {
     if (pt.degradation >= 0.05 - 1e-9) {
       EXPECT_DOUBLE_EQ(pt.coverage, 1.0);
@@ -55,13 +55,13 @@ TEST(EccSweep, CoverageSaturatesAtFullCoverageDegradation) {
 TEST(EccSweep, MinimumSitsAtFullCoverage) {
   EccSweepConfig config;
   config.scheme = EccScheme::kSecDed;
-  const auto points = explorer().sweep(config);
+  const auto points = explorer().try_sweep(config).value_or_throw();
   EXPECT_NEAR(EccTradeoffExplorer::optimal_degradation(points), 0.05, 1e-9);
 }
 
 TEST(EccSweep, DvfFallsThenRises) {
   EccSweepConfig config;
-  const auto points = explorer().sweep(config);
+  const auto points = explorer().try_sweep(config).value_or_throw();
   // Strictly decreasing while coverage grows, strictly increasing after.
   for (std::size_t i = 1; i < points.size(); ++i) {
     if (points[i].degradation <= config.full_coverage_degradation + 1e-9) {
@@ -77,8 +77,8 @@ TEST(EccSweep, ChipkillDominatesSecdedAtFullCoverage) {
   secded.scheme = EccScheme::kSecDed;
   EccSweepConfig chipkill;
   chipkill.scheme = EccScheme::kChipkill;
-  const auto s = explorer().sweep(secded);
-  const auto c = explorer().sweep(chipkill);
+  const auto s = explorer().try_sweep(secded).value_or_throw();
+  const auto c = explorer().try_sweep(chipkill).value_or_throw();
   ASSERT_EQ(s.size(), c.size());
   for (std::size_t i = 0; i < s.size(); ++i) {
     if (s[i].coverage > 0.0) {
@@ -89,7 +89,7 @@ TEST(EccSweep, ChipkillDominatesSecdedAtFullCoverage) {
 
 TEST(EccSweep, ProtectionAlwaysBeatsNoProtectionWithinBudget) {
   EccSweepConfig config;
-  const auto points = explorer().sweep(config);
+  const auto points = explorer().try_sweep(config).value_or_throw();
   const double unprotected = points.front().dvf;
   for (const auto& pt : points) {
     EXPECT_LE(pt.dvf, unprotected * (1.0 + config.max_degradation) + 1e-12);
@@ -99,10 +99,12 @@ TEST(EccSweep, ProtectionAlwaysBeatsNoProtectionWithinBudget) {
 TEST(EccSweep, RejectsBadConfigs) {
   EccSweepConfig config;
   config.step = 0.0;
-  EXPECT_THROW((void)explorer().sweep(config), InvalidArgumentError);
+  EXPECT_THROW((void)explorer().try_sweep(config).value_or_throw(),
+               InvalidArgumentError);
   config.step = 0.01;
   config.full_coverage_degradation = 0.0;
-  EXPECT_THROW((void)explorer().sweep(config), InvalidArgumentError);
+  EXPECT_THROW((void)explorer().try_sweep(config).value_or_throw(),
+               InvalidArgumentError);
 }
 
 TEST(EccExplorer, RequiresExecutionTime) {

@@ -49,7 +49,7 @@ TEST(EdgeCases, SingleElementTemplate) {
   t.repetitions = 100;
   const CacheConfig c("c", 4, 64, 32);
   // First touch misses, every repetition hits.
-  EXPECT_DOUBLE_EQ(estimate_template(t, c), 1.0);
+  EXPECT_DOUBLE_EQ(try_estimate_template(t, c).value_or_throw(), 1.0);
 }
 
 TEST(EdgeCases, StreamingWithElementEqualLineAndStride) {
@@ -59,7 +59,7 @@ TEST(EdgeCases, StreamingWithElementEqualLineAndStride) {
   s.stride_elements = 1;
   const CacheConfig c("c", 4, 64, 32);
   // CL == E, S == E: one line per element.
-  EXPECT_DOUBLE_EQ(estimate_streaming(s, c), 64.0);
+  EXPECT_DOUBLE_EQ(try_estimate_streaming(s, c).value_or_throw(), 64.0);
 }
 
 TEST(EdgeCases, PatternLettersMatchPaperNotation) {

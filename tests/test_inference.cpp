@@ -138,8 +138,8 @@ TEST(InferModel, InferredFftModelPredictsSimulatedMissesExactly) {
   const ModelSpec inferred = infer_model(trace);
   const auto* x = inferred.find("X");
   ASSERT_NE(x, nullptr);
-  const double estimate = estimate_accesses(
-      std::span<const PatternSpec>(x->patterns), sim.config());
+  const double estimate = try_estimate_accesses(
+      std::span<const PatternSpec>(x->patterns), sim.config()).value_or_throw();
   const auto id = *fft.registry().find("X");
   EXPECT_LE(math::relative_error(
                 estimate, static_cast<double>(sim.stats(id).misses)),
@@ -155,11 +155,11 @@ std::vector<DataStructureInfo> streaming_structures() {
   };
 }
 
-std::string serialize_v2(const std::vector<DataStructureInfo>& structures,
-                         const std::vector<MemoryRecord>& records) {
+std::string serialize_trace(const std::vector<DataStructureInfo>& structures,
+                            const std::vector<MemoryRecord>& records) {
   std::stringstream stream;
   write_trace(stream, std::span<const DataStructureInfo>(structures),
-              std::span<const MemoryRecord>(records), TraceFormat::kV2);
+              std::span<const MemoryRecord>(records));
   return stream.str();
 }
 
@@ -185,7 +185,7 @@ TEST(InferModelStreaming, EmptyTraceMatchesMaterializedPath) {
   // model on both paths — but the reader must still have consumed the
   // structure table cleanly.
   const auto structures = streaming_structures();
-  std::stringstream stream(serialize_v2(structures, {}));
+  std::stringstream stream(serialize_trace(structures, {}));
   TraceReader reader(stream);
   ASSERT_EQ(reader.structures().size(), 2u);
   EXPECT_EQ(reader.structures()[0].name, "A");
@@ -206,7 +206,7 @@ TEST(InferModelStreaming, ExactlyOneChunkMatchesMaterializedPath) {
   for (std::uint64_t i = 0; i < 1000; ++i) {
     records.push_back({structures[0].base_address + i * 8, 8, 0, false});
   }
-  std::stringstream stream(serialize_v2(structures, records));
+  std::stringstream stream(serialize_trace(structures, records));
   TraceReader reader(stream);
   const ModelSpec streamed = infer_model(reader);
   const ModelSpec materialized = infer_model(
@@ -239,7 +239,7 @@ TEST(InferModelStreaming, ChunkBoundaryStraddlingSequencesMatchMaterialized) {
   }
   ASSERT_EQ(records.size(), 70000u);
 
-  std::stringstream stream(serialize_v2(structures, records));
+  std::stringstream stream(serialize_trace(structures, records));
   TraceReader reader(stream);
   const ModelSpec streamed = infer_model(reader);
   EXPECT_TRUE(reader.done());

@@ -23,7 +23,8 @@ TEST(DvfProfiles, VmLargerStrideDominates) {
   spec.exec_time_seconds = 1.0;
   for (const auto& cache : caches::all_profiling()) {
     const ApplicationDvf app =
-        DvfCalculator(Machine::with_cache(cache)).for_model(spec);
+        DvfCalculator(
+            Machine::with_cache(cache)).try_for_model(spec).value_or_throw();
     const double a = app.find("A")->dvf;
     EXPECT_GT(a, 2.0 * app.find("B")->dvf) << cache.name();
     EXPECT_GT(a, 2.0 * app.find("C")->dvf) << cache.name();
@@ -38,7 +39,10 @@ TEST(DvfProfiles, DvfDecreasesWithLargerCaches) {
   double prev = 1e300;
   for (const auto& cache : caches::all_profiling()) {
     const double total =
-        DvfCalculator(Machine::with_cache(cache)).for_model(spec).total;
+        DvfCalculator(Machine::with_cache(cache))
+            .try_for_model(spec)
+            .value_or_throw()
+            .total;
     EXPECT_LE(total, prev * (1.0 + 1e-9)) << cache.name();
     prev = total;
   }
@@ -55,9 +59,11 @@ TEST(DvfProfiles, FtJumpsWhenCacheBelowWorkingSet) {
     ModelSpec spec = kernel->model_spec();
     spec.exec_time_seconds = 1.0;
     const double small = DvfCalculator(Machine::with_cache(
-                             caches::profiling_16kb())).for_model(spec).total;
+                             caches::profiling_16kb(
+                                 ))).try_for_model(spec).value_or_throw().total;
     const double large = DvfCalculator(Machine::with_cache(
-                             caches::profiling_128kb())).for_model(spec).total;
+                             caches::profiling_128kb(
+                                 ))).try_for_model(spec).value_or_throw().total;
     EXPECT_GT(small, 5.0 * large);
   }
 }
@@ -77,7 +83,7 @@ TEST(DvfStudies, CgPcgCrossover) {
     spec.exec_time_seconds = 1e-9 * matvecs *
                              static_cast<double>(solver.iterations_run()) *
                              static_cast<double>(n) * static_cast<double>(n);
-    return calc.for_model(spec).total;
+    return calc.try_for_model(spec).value_or_throw().total;
   };
   EXPECT_GT(dvf_for(100, true), dvf_for(100, false));
   EXPECT_LT(dvf_for(600, true), dvf_for(600, false));
@@ -91,7 +97,7 @@ TEST(DvfStudies, EccSweepShapeOnRealKernel) {
   const EccTradeoffExplorer explorer(
       Machine::with_cache(caches::profiling_8mb()), spec);
   EccSweepConfig config;
-  const auto points = explorer.sweep(config);
+  const auto points = explorer.try_sweep(config).value_or_throw();
   EXPECT_NEAR(EccTradeoffExplorer::optimal_degradation(points), 0.05, 1e-9);
   EXPECT_LT(points.back().dvf, points.front().dvf);  // ECC helps overall
 }
@@ -109,7 +115,9 @@ TEST(DslToCalculator, EndToEnd) {
       pattern A stream { stride 1; }
     })");
   const ApplicationDvf app =
-      DvfCalculator(program.machine("m")).for_model(program.model("vm"));
+      DvfCalculator(program.machine("m"))
+          .try_for_model(program.model("vm"))
+          .value_or_throw();
   ASSERT_EQ(app.structures.size(), 1u);
   EXPECT_DOUBLE_EQ(app.structures[0].n_ha, 250.0);  // 8000 B / 32 B
   EXPECT_GT(app.total, 0.0);
@@ -132,7 +140,7 @@ TEST(DslToCalculator, BundledModelFilesCompile) {
       EXPECT_FALSE(program.models.empty()) << path;
       for (const auto& model : program.models) {
         for (const auto& machine : program.machines) {
-          (void)DvfCalculator(machine).for_model(model);
+          (void)DvfCalculator(machine).try_for_model(model).value_or_throw();
         }
       }
     }) << path;

@@ -42,8 +42,9 @@ class VerificationExperiment : public ::testing::Test {
         for (const auto& ds : spec.structures) {
           const auto id = kernel->registry().find(ds.name);
           ASSERT_TRUE(id.has_value());
-          const double estimate = estimate_accesses(
-              std::span<const PatternSpec>(ds.patterns), cache);
+          const double estimate = try_estimate_accesses(
+              std::span<const PatternSpec>(ds.patterns), cache)
+              .value_or_throw();
           const double err = math::relative_error(
               estimate, static_cast<double>(sim.stats(*id).misses));
           (*results_)[cache.name() + "/" + kernel->name() + "/" + ds.name] =

@@ -71,8 +71,8 @@ TEST(SparseCg, GatherModelTracksSimulatorWithinBand) {
 
   const auto* p = spec.find("p");
   ASSERT_NE(p, nullptr);
-  const double estimate = estimate_accesses(
-      std::span<const PatternSpec>(p->patterns), sim.config());
+  const double estimate = try_estimate_accesses(
+      std::span<const PatternSpec>(p->patterns), sim.config()).value_or_throw();
   const auto id = *cg.registry().find("p");
   const double simulated = static_cast<double>(sim.stats(id).misses);
   EXPECT_LE(math::relative_error(estimate, simulated), 0.40)
@@ -90,8 +90,9 @@ TEST(SparseCg, StreamingCsrStructuresMatchSimulatorTightly) {
   for (const char* name : {"val", "col"}) {
     const auto* ds = spec.find(name);
     ASSERT_NE(ds, nullptr);
-    const double estimate = estimate_accesses(
-        std::span<const PatternSpec>(ds->patterns), sim.config());
+    const double estimate = try_estimate_accesses(
+        std::span<const PatternSpec>(ds->patterns), sim.config())
+        .value_or_throw();
     const auto id = *cg.registry().find(name);
     EXPECT_LE(math::relative_error(
                   estimate, static_cast<double>(sim.stats(id).misses)),

@@ -81,8 +81,9 @@ TEST(VmKernel, ModelMatchesSimulatorExactlyForStreams) {
     const auto id = *vm.registry().find(ds.name);
     const auto* stream = std::get_if<StreamingSpec>(&ds.patterns[0]);
     ASSERT_NE(stream, nullptr);
-    EXPECT_DOUBLE_EQ(estimate_streaming(*stream, sim.config()),
-                     static_cast<double>(sim.stats(id).misses))
+    EXPECT_DOUBLE_EQ(
+        try_estimate_streaming(*stream, sim.config()).value_or_throw(),
+        static_cast<double>(sim.stats(id).misses))
         << ds.name;
   }
 }

@@ -72,7 +72,7 @@ TEST_P(UniformRandomVsSim, WithinPaperBand) {
   spec.visits_per_iteration = static_cast<double>(c.visits);
   spec.iterations = c.iterations;
 
-  const double predicted = estimate_random(spec, config);
+  const double predicted = try_estimate_random(spec, config).value_or_throw();
   const double simulated = static_cast<double>(sim.stats(0).misses);
   EXPECT_LE(math::relative_error(predicted, simulated), 0.15)
       << "predicted " << predicted << " simulated " << simulated;
@@ -125,7 +125,7 @@ TEST_P(ReuseVsSim, WithinPaperBand) {
   spec.reuse_rounds = c.rounds;
   spec.occupancy = ReuseOccupancy::kContiguous;  // contiguous arrays here
 
-  const double predicted = estimate_reuse(spec, config);
+  const double predicted = try_estimate_reuse(spec, config).value_or_throw();
   const double simulated = static_cast<double>(sim.stats(0).misses);
   EXPECT_LE(math::relative_error(predicted, simulated), 0.15)
       << "predicted " << predicted << " simulated " << simulated;
@@ -166,7 +166,7 @@ TEST(TemplateVsSim, MatchesSimulatorOnStencilStream) {
       sim.on_load(0, idx * 8, 8);
     }
   }
-  const double predicted = estimate_template(spec, config);
+  const double predicted = try_estimate_template(spec, config).value_or_throw();
   const double simulated = static_cast<double>(sim.stats(0).misses);
   EXPECT_LE(math::relative_error(predicted, simulated), 0.15)
       << "predicted " << predicted << " simulated " << simulated;
@@ -187,7 +187,7 @@ TEST(TemplateVsSim, ExactForFullyAssociativeFriendlyStreams) {
   for (const std::uint64_t idx : spec.element_indices) {
     sim.on_load(0, idx * 32, 32);
   }
-  EXPECT_DOUBLE_EQ(estimate_template(spec, config),
+  EXPECT_DOUBLE_EQ(try_estimate_template(spec, config).value_or_throw(),
                    static_cast<double>(sim.stats(0).misses));
 }
 

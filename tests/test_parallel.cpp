@@ -238,11 +238,11 @@ TEST(ParallelCalculator, WideModelIsBitIdenticalToSerial) {
 
   DvfCalculator serial(Machine::with_cache(caches::profiling_8mb()));
   serial.set_threads(1);
-  const ApplicationDvf reference = serial.for_model(model);
+  const ApplicationDvf reference = serial.try_for_model(model).value_or_throw();
 
   DvfCalculator threaded(Machine::with_cache(caches::profiling_8mb()));
   threaded.set_threads(8);
-  const ApplicationDvf result = threaded.for_model(model);
+  const ApplicationDvf result = threaded.try_for_model(model).value_or_throw();
 
   EXPECT_EQ(result.total, reference.total);  // bitwise, not approximate
   ASSERT_EQ(result.structures.size(), reference.structures.size());

@@ -49,7 +49,8 @@ TEST(RandomEstimate, CompulsoryOnlyWhenStructureFits) {
   spec.visits_per_iteration = 10;
   spec.iterations = 100000;
   const CacheConfig c = cache(4, 64, 32);  // 8 KiB
-  EXPECT_DOUBLE_EQ(estimate_random(spec, c), 100.0);  // 3200/32 blocks
+  EXPECT_DOUBLE_EQ(try_estimate_random(spec, c).value_or_throw(),
+                   100.0);  // 3200/32 blocks
 }
 
 TEST(RandomEstimate, GrowsLinearlyWithIterationsWhenOverCapacity) {
@@ -59,9 +60,9 @@ TEST(RandomEstimate, GrowsLinearlyWithIterationsWhenOverCapacity) {
   spec.visits_per_iteration = 50;
   const CacheConfig c = cache(4, 64, 32);
   spec.iterations = 100;
-  const double at100 = estimate_random(spec, c);
+  const double at100 = try_estimate_random(spec, c).value_or_throw();
   spec.iterations = 200;
-  const double at200 = estimate_random(spec, c);
+  const double at200 = try_estimate_random(spec, c).value_or_throw();
   const double compulsory = 10000.0;  // E*N/CL
   EXPECT_NEAR(at200 - compulsory, 2.0 * (at100 - compulsory), 1e-6);
 }
@@ -74,7 +75,7 @@ TEST(RandomEstimate, ReloadCappedByNonResidentBlocks) {
   spec.visits_per_iteration = 300;
   spec.iterations = 1;
   const CacheConfig c = cache(4, 64, 32);
-  const double estimate = estimate_random(spec, c);
+  const double estimate = try_estimate_random(spec, c).value_or_throw();
   const double b_out = 9600.0 / 32.0 - 256.0;  // 44 blocks not resident
   EXPECT_DOUBLE_EQ(estimate, 300.0 + b_out);
 }
@@ -87,23 +88,27 @@ TEST(RandomEstimate, CacheRatioShrinksTheShare) {
   spec.iterations = 1000;
   const CacheConfig c = cache(4, 128, 32);  // 16 KiB: fits at ratio 1.0
   spec.cache_ratio = 1.0;
-  EXPECT_DOUBLE_EQ(estimate_random(spec, c), 400.0);
+  EXPECT_DOUBLE_EQ(try_estimate_random(spec, c).value_or_throw(), 400.0);
   spec.cache_ratio = 0.25;  // share 4 KiB: misses appear
-  EXPECT_GT(estimate_random(spec, c), 400.0);
+  EXPECT_GT(try_estimate_random(spec, c).value_or_throw(), 400.0);
 }
 
 TEST(RandomEstimate, RejectsInvalidSpecs) {
   RandomSpec spec;
   const CacheConfig c = cache(4, 64, 32);
-  EXPECT_THROW((void)estimate_random(spec, c), InvalidArgumentError);
+  EXPECT_THROW((void)try_estimate_random(spec, c).value_or_throw(),
+               InvalidArgumentError);
   spec.element_count = 10;
   spec.cache_ratio = 0.0;
-  EXPECT_THROW((void)estimate_random(spec, c), InvalidArgumentError);
+  EXPECT_THROW((void)try_estimate_random(spec, c).value_or_throw(),
+               InvalidArgumentError);
   spec.cache_ratio = 1.5;
-  EXPECT_THROW((void)estimate_random(spec, c), InvalidArgumentError);
+  EXPECT_THROW((void)try_estimate_random(spec, c).value_or_throw(),
+               InvalidArgumentError);
   spec.cache_ratio = 0.5;
   spec.visits_per_iteration = -1.0;
-  EXPECT_THROW((void)estimate_random(spec, c), InvalidArgumentError);
+  EXPECT_THROW((void)try_estimate_random(spec, c).value_or_throw(),
+               InvalidArgumentError);
 }
 
 // ---- IRM / Che extension --------------------------------------------------

@@ -111,7 +111,7 @@ TEST(ReuseEstimate, FittingStructureLoadsOnce) {
   spec.other_bytes = 1024;  // 32 blocks: together well under 256
   spec.reuse_rounds = 50;
   spec.occupancy = ReuseOccupancy::kContiguous;
-  EXPECT_NEAR(estimate_reuse(spec, small()), 64.0, 1e-6);
+  EXPECT_NEAR(try_estimate_reuse(spec, small()).value_or_throw(), 64.0, 1e-6);
 }
 
 TEST(ReuseEstimate, OverwhelmedStructureReloadsEveryRound) {
@@ -120,7 +120,8 @@ TEST(ReuseEstimate, OverwhelmedStructureReloadsEveryRound) {
   spec.other_bytes = 32 * 10000;  // saturating interference
   spec.reuse_rounds = 10;
   spec.occupancy = ReuseOccupancy::kContiguous;
-  EXPECT_NEAR(estimate_reuse(spec, small()), 300.0 * 11.0, 1e-6);
+  EXPECT_NEAR(try_estimate_reuse(spec, small()).value_or_throw(),
+              300.0 * 11.0, 1e-6);
 }
 
 TEST(ReuseEstimate, MonotoneInInterfererSize) {
@@ -131,7 +132,7 @@ TEST(ReuseEstimate, MonotoneInInterfererSize) {
   for (const std::uint64_t other : {0ULL, 1024ULL, 4096ULL, 16384ULL,
                                     1048576ULL}) {
     spec.other_bytes = other;
-    const double estimate = estimate_reuse(spec, small());
+    const double estimate = try_estimate_reuse(spec, small()).value_or_throw();
     EXPECT_GE(estimate, prev - 1e-9) << "other=" << other;
     prev = estimate;
   }
@@ -144,7 +145,7 @@ TEST(ReuseEstimate, MonotoneInRounds) {
   double prev = 0.0;
   for (const std::uint64_t rounds : {1ULL, 2ULL, 8ULL, 64ULL}) {
     spec.reuse_rounds = rounds;
-    const double estimate = estimate_reuse(spec, small());
+    const double estimate = try_estimate_reuse(spec, small()).value_or_throw();
     EXPECT_GT(estimate, prev) << "rounds=" << rounds;
     prev = estimate;
   }
@@ -152,7 +153,8 @@ TEST(ReuseEstimate, MonotoneInRounds) {
 
 TEST(ReuseEstimate, RejectsEmptyTarget) {
   ReuseSpec spec;
-  EXPECT_THROW((void)estimate_reuse(spec, small()), InvalidArgumentError);
+  EXPECT_THROW((void)try_estimate_reuse(spec, small()).value_or_throw(),
+               InvalidArgumentError);
 }
 
 }  // namespace

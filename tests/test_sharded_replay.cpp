@@ -15,6 +15,7 @@
 #include "dvf/machine/cache_config.hpp"
 #include "dvf/trace/trace_io.hpp"
 #include "dvf/trace/trace_reader.hpp"
+#include "cache_config_printer.hpp"
 
 namespace dvf {
 namespace {
@@ -49,6 +50,11 @@ struct ShardCase {
   ReplacementPolicy policy;
   CacheConfig config;
 };
+
+void PrintTo(const ShardCase& c, std::ostream* os) {
+  *os << "t" << c.threads << "_" << policy_name(c.policy) << "_";
+  PrintTo(c.config, os);
+}
 
 class ShardedReplayEquivalence : public ::testing::TestWithParam<ShardCase> {};
 
@@ -96,15 +102,7 @@ INSTANTIATE_TEST_SUITE_P(
                   CacheConfig("pow2-64set", 4, 64, 32)},
         // More shards than sets: the surplus shards simply stay idle.
         ShardCase{8, ReplacementPolicy::kLru,
-                  CacheConfig("mod-3set", 2, 3, 16)}),
-    [](const ::testing::TestParamInfo<ShardCase>& info) {
-      return std::string(info.param.config.name().find("pow2") == 0
-                             ? "pow2_"
-                             : "mod_") +
-             policy_name(info.param.policy) + "_t" +
-             std::to_string(info.param.threads) + "_" +
-             std::to_string(info.index);
-    });
+                  CacheConfig("mod-3set", 2, 3, 16)}));
 
 TEST(ShardedReplay, EvictionHandlerSeesEveryEvictionAcrossThreads) {
   const CacheConfig config("pow2-64set", 4, 64, 32);

@@ -34,7 +34,8 @@ TEST(Streaming, ContiguousTraversalLoadsEveryLineOnce) {
   s.element_count = 1000;
   s.stride_elements = 1;
   // Case 3 (S < CL): ceil(D / CL) = ceil(8000/32) = 250.
-  EXPECT_DOUBLE_EQ(estimate_streaming(s, cache32()), 250.0);
+  EXPECT_DOUBLE_EQ(try_estimate_streaming(s, cache32()).value_or_throw(),
+                   250.0);
 }
 
 TEST(Streaming, LargeStrideCostsOneLinePerElementPlusAlignment) {
@@ -44,7 +45,8 @@ TEST(Streaming, LargeStrideCostsOneLinePerElementPlusAlignment) {
   s.stride_elements = 8;  // stride 64B > CL=32 > E=8: case 2
   const double p = 7.0 / 32.0;
   // ceil(D/S) = 8192/64 = 128 referenced elements.
-  EXPECT_DOUBLE_EQ(estimate_streaming(s, cache32()), 128.0 * (1.0 + p));
+  EXPECT_DOUBLE_EQ(try_estimate_streaming(s, cache32()).value_or_throw(),
+                   128.0 * (1.0 + p));
 }
 
 TEST(Streaming, HugeElementsCountLinesPerElement) {
@@ -53,7 +55,7 @@ TEST(Streaming, HugeElementsCountLinesPerElement) {
   s.element_count = 64;
   s.stride_elements = 2;  // stride 256B > E
   const double ae = 4.0 + (127 % 32) / 32.0;  // floor(128/32) + p
-  EXPECT_DOUBLE_EQ(estimate_streaming(s, cache32()),
+  EXPECT_DOUBLE_EQ(try_estimate_streaming(s, cache32()).value_or_throw(),
                    math::ceil_div(64 * 128, 256) * ae);
 }
 
@@ -62,16 +64,19 @@ TEST(Streaming, UnitStrideBigElementsLoadWholeFootprint) {
   s.element_bytes = 64;  // CL <= E, S == E
   s.element_count = 100;
   s.stride_elements = 1;
-  EXPECT_DOUBLE_EQ(estimate_streaming(s, cache32()), 6400.0 / 32.0);
+  EXPECT_DOUBLE_EQ(try_estimate_streaming(s, cache32()).value_or_throw(),
+                   6400.0 / 32.0);
 }
 
 TEST(Streaming, RejectsDegenerateSpecs) {
   StreamingSpec s;
   s.element_count = 0;
-  EXPECT_THROW((void)estimate_streaming(s, cache32()), InvalidArgumentError);
+  EXPECT_THROW((void)try_estimate_streaming(s, cache32()).value_or_throw(),
+               InvalidArgumentError);
   s.element_count = 10;
   s.stride_elements = 0;
-  EXPECT_THROW((void)estimate_streaming(s, cache32()), InvalidArgumentError);
+  EXPECT_THROW((void)try_estimate_streaming(s, cache32()).value_or_throw(),
+               InvalidArgumentError);
 }
 
 // Property: for aligned unit-stride streams the model must agree exactly
@@ -93,7 +98,8 @@ TEST_P(StreamingVsSimulator, UnitStrideMatchesSimulatedMisses) {
     sim.on_load(0, static_cast<std::uint64_t>(i) * element_bytes,
                 static_cast<std::uint32_t>(element_bytes));
   }
-  const double predicted = estimate_streaming(s, cache32());
+  const double predicted =
+      try_estimate_streaming(s, cache32()).value_or_throw();
   const auto simulated = static_cast<double>(sim.stats(0).misses);
   // The alignment probability term can over-count for aligned streams; the
   // paper's acceptance bound is 15%. Aligned unit-stride is exact.
@@ -126,7 +132,8 @@ TEST_P(StridedStreamingVsSimulator, WithinPaperErrorBand) {
     sim.on_load(0, i * stride * element_bytes,
                 static_cast<std::uint32_t>(element_bytes));
   }
-  const double predicted = estimate_streaming(s, cache32());
+  const double predicted =
+      try_estimate_streaming(s, cache32()).value_or_throw();
   const auto simulated = static_cast<double>(sim.stats(0).misses);
   // Alignment-probability estimates overshoot aligned runs by up to p; allow
   // the paper's 15% plus the explicit p margin.

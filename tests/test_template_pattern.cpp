@@ -157,7 +157,7 @@ TEST(TemplateEstimate, ColdBlocksOnlyWhenFitting) {
     }
   }
   const CacheConfig c("c", 4, 64, 32);  // 256 blocks >= 100
-  EXPECT_DOUBLE_EQ(estimate_template(spec, c), 100.0);
+  EXPECT_DOUBLE_EQ(try_estimate_template(spec, c).value_or_throw(), 100.0);
 }
 
 TEST(TemplateEstimate, CyclicOverCapacityThrashes) {
@@ -170,7 +170,7 @@ TEST(TemplateEstimate, CyclicOverCapacityThrashes) {
   }
   const CacheConfig c("c", 4, 64, 32);
   // Every reference misses under LRU for a cyclic over-capacity scan.
-  EXPECT_DOUBLE_EQ(estimate_template(spec, c), 900.0);
+  EXPECT_DOUBLE_EQ(try_estimate_template(spec, c).value_or_throw(), 900.0);
 }
 
 TEST(TemplateEstimate, RepetitionsEquivalentToMaterializedRepeats) {
@@ -189,8 +189,8 @@ TEST(TemplateEstimate, RepetitionsEquivalentToMaterializedRepeats) {
                                         once.element_indices.end());
   }
   const CacheConfig c("c", 2, 32, 32);
-  EXPECT_DOUBLE_EQ(estimate_template(repeated, c),
-                   estimate_template(materialized, c));
+  EXPECT_DOUBLE_EQ(try_estimate_template(repeated, c).value_or_throw(),
+                   try_estimate_template(materialized, c).value_or_throw());
 }
 
 TEST(TemplateEstimate, CacheRatioReducesEffectiveCapacity) {
@@ -203,9 +203,10 @@ TEST(TemplateEstimate, CacheRatioReducesEffectiveCapacity) {
   }
   const CacheConfig c("c", 4, 64, 32);  // 256 blocks
   spec.cache_ratio = 1.0;
-  const double full = estimate_template(spec, c);   // fits: 200
+  const double full =
+      try_estimate_template(spec, c).value_or_throw();   // fits: 200
   spec.cache_ratio = 0.5;                            // 128 blocks: thrash
-  const double half = estimate_template(spec, c);
+  const double half = try_estimate_template(spec, c).value_or_throw();
   EXPECT_DOUBLE_EQ(full, 200.0);
   EXPECT_DOUBLE_EQ(half, 400.0);
 }
@@ -222,21 +223,24 @@ TEST(TemplateEstimate, RawDistanceVariantDiffersOnSkewedStrings) {
   spec.element_indices.push_back(0);
   const CacheConfig c("c", 4, 64, 32);
   spec.distance = DistanceKind::kStack;
-  EXPECT_DOUBLE_EQ(estimate_template(spec, c), 2.0);
+  EXPECT_DOUBLE_EQ(try_estimate_template(spec, c).value_or_throw(), 2.0);
   spec.distance = DistanceKind::kRaw;
-  EXPECT_DOUBLE_EQ(estimate_template(spec, c), 3.0);
+  EXPECT_DOUBLE_EQ(try_estimate_template(spec, c).value_or_throw(), 3.0);
 }
 
 TEST(TemplateEstimate, RejectsInvalidSpecs) {
   TemplateSpec spec;
   const CacheConfig c("c", 4, 64, 32);
-  EXPECT_THROW((void)estimate_template(spec, c), InvalidArgumentError);
+  EXPECT_THROW((void)try_estimate_template(spec, c).value_or_throw(),
+               InvalidArgumentError);
   spec.element_indices = {1, 2, 3};
   spec.cache_ratio = 0.0;
-  EXPECT_THROW((void)estimate_template(spec, c), InvalidArgumentError);
+  EXPECT_THROW((void)try_estimate_template(spec, c).value_or_throw(),
+               InvalidArgumentError);
   spec.cache_ratio = 1.0;
   spec.repetitions = 0;
-  EXPECT_THROW((void)estimate_template(spec, c), InvalidArgumentError);
+  EXPECT_THROW((void)try_estimate_template(spec, c).value_or_throw(),
+               InvalidArgumentError);
 }
 
 

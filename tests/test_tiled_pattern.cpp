@@ -38,7 +38,7 @@ TEST(TiledEstimate, FittingFootprintCostsOneColdSweep) {
   TiledSpec s = base_spec();
   s.passes = 3;
   s.intra_reuse = 2;
-  EXPECT_DOUBLE_EQ(estimate_tiled(s, cache8k()), 64.0);
+  EXPECT_DOUBLE_EQ(try_estimate_tiled(s, cache8k()).value_or_throw(), 64.0);
 }
 
 TEST(TiledEstimate, FittingTileRefetchesFootprintPerPass) {
@@ -52,7 +52,8 @@ TEST(TiledEstimate, FittingTileRefetchesFootprintPerPass) {
   s.tile_cols = 8;
   s.passes = 4;
   s.intra_reuse = 5;  // must not appear in the case-2 count
-  EXPECT_DOUBLE_EQ(estimate_tiled(s, cache8k()), 4.0 * 1024.0);
+  EXPECT_DOUBLE_EQ(try_estimate_tiled(s, cache8k()).value_or_throw(),
+                   4.0 * 1024.0);
 }
 
 TEST(TiledEstimate, OversizeTileMissesOnEveryTraversal) {
@@ -66,7 +67,8 @@ TEST(TiledEstimate, OversizeTileMissesOnEveryTraversal) {
   s.passes = 2;
   s.intra_reuse = 3;
   s.cache_ratio = 0.04;
-  EXPECT_DOUBLE_EQ(estimate_tiled(s, cache8k()), 2.0 * 4.0 * 1024.0);
+  EXPECT_DOUBLE_EQ(try_estimate_tiled(s, cache8k()).value_or_throw(),
+                   2.0 * 4.0 * 1024.0);
 }
 
 TEST(TiledEstimate, RemainderColumnsCountTheirOwnSegments) {
@@ -76,7 +78,7 @@ TEST(TiledEstimate, RemainderColumnsCountTheirOwnSegments) {
   s.rows = 5;
   s.cols = 10;
   s.tile_cols = 4;
-  EXPECT_DOUBLE_EQ(estimate_tiled(s, cache8k()), 15.0);
+  EXPECT_DOUBLE_EQ(try_estimate_tiled(s, cache8k()).value_or_throw(), 15.0);
 }
 
 TEST(TiledEstimate, OversizeTileClampsToTheMatrixEdge) {
@@ -87,7 +89,7 @@ TEST(TiledEstimate, OversizeTileClampsToTheMatrixEdge) {
   s.cols = 8;
   s.tile_rows = 100;
   s.tile_cols = 100;
-  EXPECT_DOUBLE_EQ(estimate_tiled(s, cache8k()), 16.0);
+  EXPECT_DOUBLE_EQ(try_estimate_tiled(s, cache8k()).value_or_throw(), 16.0);
 }
 
 TEST(TiledEstimate, PreconditionsAreClassifiedErrors) {
@@ -106,7 +108,7 @@ TEST(TiledEstimate, PreconditionsAreClassifiedErrors) {
     mutate(s);
     const Result<double> r = try_estimate_tiled(s, cache);
     EXPECT_FALSE(r.ok());
-    EXPECT_THROW((void)estimate_tiled(s, cache), Error);
+    EXPECT_THROW((void)try_estimate_tiled(s, cache).value_or_throw(), Error);
   }
 }
 
@@ -268,8 +270,9 @@ TEST(TiledAnalysis, BoundsContainTheEvaluatorAtOneAndFourThreads) {
     const analysis::StructureBounds& a = model->structures[0];
     ASSERT_EQ(a.per_machine.size(), 1u);
     EXPECT_FALSE(a.per_machine[0].eval_rejects);
-    const double n_ha = estimate_accesses(
-        p.models.at(0).find("A")->patterns.at(0), p.machines.at(0).llc);
+    const double n_ha = try_estimate_accesses(
+        p.models.at(0).find("A")->patterns.at(0), p.machines.at(0).llc)
+        .value_or_throw();
     EXPECT_TRUE(a.per_machine[0].n_ha.contains(n_ha))
         << n_ha << " outside [" << a.per_machine[0].n_ha.lo << ", "
         << a.per_machine[0].n_ha.hi << "] at " << threads << " threads";
@@ -332,7 +335,8 @@ TEST(TiledOracle, FittingFootprintReplayIsExact) {
   TiledSpec s = base_spec();
   s.passes = 2;
   s.intra_reuse = 1;
-  EXPECT_DOUBLE_EQ(estimate_tiled(s, cache8k()), replay_tiled(s, cache8k()));
+  EXPECT_DOUBLE_EQ(try_estimate_tiled(s, cache8k()).value_or_throw(),
+                   replay_tiled(s, cache8k()));
 }
 
 TEST(TiledOracle, OversizeTileReplayIsExact) {
@@ -345,7 +349,8 @@ TEST(TiledOracle, OversizeTileReplayIsExact) {
   s.tile_cols = 64;
   s.passes = 2;
   s.intra_reuse = 1;
-  EXPECT_DOUBLE_EQ(estimate_tiled(s, cache8k()), replay_tiled(s, cache8k()));
+  EXPECT_DOUBLE_EQ(try_estimate_tiled(s, cache8k()).value_or_throw(),
+                   replay_tiled(s, cache8k()));
 }
 
 TEST(TiledOracle, CacheFittingTileReplayStaysInTheBand) {
@@ -359,7 +364,7 @@ TEST(TiledOracle, CacheFittingTileReplayStaysInTheBand) {
   s.tile_cols = 8;
   s.passes = 2;
   s.intra_reuse = 2;
-  const double predicted = estimate_tiled(s, cache8k());
+  const double predicted = try_estimate_tiled(s, cache8k()).value_or_throw();
   const double simulated = replay_tiled(s, cache8k());
   EXPECT_NEAR(predicted, simulated, 0.15 * simulated)
       << "predicted " << predicted << " vs simulated " << simulated;

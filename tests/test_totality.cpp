@@ -244,8 +244,9 @@ TEST(TotalityCalculator, NegativeExecTimeIsDomainError) {
   const auto r = calc.try_for_structure(ds, -1.0);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.error().kind, ErrorKind::kDomainError);
-  // The compatibility wrapper maps it to the historical exception type.
-  EXPECT_THROW(calc.for_structure(ds, -1.0), InvalidArgumentError);
+  // value_or_throw() maps a domain_error to InvalidArgumentError.
+  EXPECT_THROW(calc.try_for_structure(ds, -1.0).value_or_throw(),
+               InvalidArgumentError);
 }
 
 TEST(TotalityCalculator, ModelWithoutExecTimeIsDomainError) {

@@ -18,20 +18,25 @@ StructureDvf sample() {
 }
 
 TEST(WeightedDvf, UnitWeightsReproducePlainDvf) {
-  EXPECT_DOUBLE_EQ(weighted_dvf(sample(), {}), sample().dvf);
+  EXPECT_DOUBLE_EQ(try_weighted_dvf(sample(), {}).value_or_throw(),
+                   sample().dvf);
 }
 
 TEST(WeightedDvf, ZeroWeightRemovesATerm) {
-  EXPECT_DOUBLE_EQ(weighted_dvf(sample(), {.error_weight = 0.0}), 9.0);
-  EXPECT_DOUBLE_EQ(weighted_dvf(sample(), {.access_weight = 0.0}), 4.0);
   EXPECT_DOUBLE_EQ(
-      weighted_dvf(sample(), {.error_weight = 0.0, .access_weight = 0.0}),
+      try_weighted_dvf(sample(), {.error_weight = 0.0}).value_or_throw(), 9.0);
+  EXPECT_DOUBLE_EQ(
+      try_weighted_dvf(sample(), {.access_weight = 0.0}).value_or_throw(), 4.0);
+  EXPECT_DOUBLE_EQ(
+      try_weighted_dvf(sample(), {.error_weight = 0.0, .access_weight = 0.0})
+          .value_or_throw(),
       1.0);
 }
 
 TEST(WeightedDvf, FractionalWeights) {
   EXPECT_DOUBLE_EQ(
-      weighted_dvf(sample(), {.error_weight = 0.5, .access_weight = 0.5}),
+      try_weighted_dvf(sample(), {.error_weight = 0.5, .access_weight = 0.5})
+          .value_or_throw(),
       2.0 * 3.0);
 }
 
@@ -40,13 +45,15 @@ TEST(WeightedDvf, PreservesOrderingForEqualWeights) {
   StructureDvf big = sample();
   big.n_ha *= 10.0;
   for (const double w : {0.5, 1.0, 2.0}) {
-    EXPECT_LT(weighted_dvf(small, {w, w}), weighted_dvf(big, {w, w}));
+    EXPECT_LT(try_weighted_dvf(small, {w, w}).value_or_throw(),
+              try_weighted_dvf(big, {w, w}).value_or_throw());
   }
 }
 
 TEST(WeightedDvf, RejectsNegativeWeights) {
-  EXPECT_THROW((void)weighted_dvf(sample(), {.error_weight = -1.0}),
-               InvalidArgumentError);
+  EXPECT_THROW(
+      (void)try_weighted_dvf(sample(), {.error_weight = -1.0}).value_or_throw(),
+      InvalidArgumentError);
 }
 
 TEST(WeightedApplicationDvf, SumsWeightedStructures) {
@@ -55,7 +62,7 @@ TEST(WeightedApplicationDvf, SumsWeightedStructures) {
   app.structures.push_back(sample());
   app.structures[1].n_ha = 16.0;
   const DvfWeights weights{.error_weight = 1.0, .access_weight = 0.5};
-  EXPECT_DOUBLE_EQ(weighted_application_dvf(app, weights),
+  EXPECT_DOUBLE_EQ(try_weighted_application_dvf(app, weights).value_or_throw(),
                    4.0 * 3.0 + 4.0 * 4.0);
 }
 

@@ -287,7 +287,7 @@ bool options_recognized(const Args& args) {
       {"caches", {"model"}},
       {"ecc", {"model", "machine"}},
       {"kernels", {"suite", "threads"}},
-      {"trace", {"format"}},
+      {"trace", {}},
       {"replay", {"assoc", "sets", "line", "threads", "policy"}},
       {"infer", {"assoc", "sets", "line"}},
       {"campaign",
@@ -368,18 +368,6 @@ dvf::ReplacementPolicy policy_option(const Args& args) {
   return *parsed;
 }
 
-// Parses --format (trace), raising BadUsage on unknown versions.
-dvf::TraceFormat format_option(const Args& args) {
-  const std::string text = args.option("format", "");
-  if (text.empty() || text == "v2") {
-    return dvf::TraceFormat::kV2;
-  }
-  if (text == "v1") {
-    return dvf::TraceFormat::kV1;
-  }
-  throw BadUsage{"--format expects v1 or v2, got '" + text + "'"};
-}
-
 int usage() {
   std::cerr <<
       "usage: dvfc <command> [args]\n"
@@ -413,11 +401,9 @@ int usage() {
       "                                        only missing trials), --ci-width\n"
       "                                        stops structures whose Wilson\n"
       "                                        95% SDC CI converged\n"
-      "  trace <kernel> <out.dvft> [--format v1|v2]\n"
-      "                                        record a kernel's references\n"
-      "                                        (v2: compact little-endian\n"
-      "                                        chunked format, the default;\n"
-      "                                        v1: legacy native-endian)\n"
+      "  trace <kernel> <out.dvft>              record a kernel's references\n"
+      "                                        (compact little-endian\n"
+      "                                        chunked format)\n"
       "  replay <in.dvft> [--assoc A --sets S --line L]\n"
       "         [--threads N] [--policy lru|plru|rrip]\n"
       "                                        simulate a saved trace,\n"
@@ -762,7 +748,8 @@ int cmd_eval(const Args& args) {
         std::cout << dvf::banner("model '" + model.name + "' on machine '" +
                                  machine.name + "'");
       }
-      print_application(make_calculator(machine).for_model(model), csv);
+      print_application(
+          make_calculator(machine).try_for_model(model).value_or_throw(), csv);
     }
   }
   return 0;
@@ -784,7 +771,9 @@ int cmd_caches(const Args& args) {
   std::vector<dvf::ApplicationDvf> results;
   for (const auto& cache : caches) {
     results.push_back(
-        make_calculator(dvf::Machine::with_cache(cache)).for_model(model));
+        make_calculator(dvf::Machine::with_cache(cache))
+            .try_for_model(model)
+            .value_or_throw());
   }
   for (std::size_t s = 0; s < model.structures.size(); ++s) {
     std::vector<std::string> row = {model.structures[s].name};
@@ -815,8 +804,8 @@ int cmd_ecc(const Args& args) {
   secded.scheme = dvf::EccScheme::kSecDed;
   dvf::EccSweepConfig chipkill;
   chipkill.scheme = dvf::EccScheme::kChipkill;
-  const auto s = explorer.sweep(secded);
-  const auto c = explorer.sweep(chipkill);
+  const auto s = explorer.try_sweep(secded).value_or_throw();
+  const auto c = explorer.try_sweep(chipkill).value_or_throw();
   for (std::size_t i = 0; i < s.size(); ++i) {
     table.add_row({dvf::num(100.0 * s[i].degradation, 3), dvf::num(s[i].dvf),
                    dvf::num(c[i].dvf)});
@@ -929,7 +918,6 @@ int cmd_trace(const Args& args) {
   if (args.positional.size() != 2) {
     return usage();
   }
-  const dvf::TraceFormat format = format_option(args);  // reject before work
   auto suite = dvf::kernels::make_extended_suite();
   for (auto& kernel : suite) {
     if (kernel->name() != args.positional[0]) {
@@ -938,7 +926,7 @@ int cmd_trace(const Args& args) {
     dvf::TraceBuffer buffer;
     kernel->run_buffered(buffer);
     dvf::write_trace_file(args.positional[1], kernel->registry(),
-                          buffer.records(), format);
+                          buffer.records());
     std::cout << "wrote " << buffer.records().size() << " references ("
               << kernel->registry().size() << " structures) to "
               << args.positional[1] << "\n";
