@@ -23,7 +23,6 @@ constexpr std::uint64_t kU64Max = ~std::uint64_t{0};
 // Cost ceilings under which the closed forms are provably cheap enough to
 // run outright (yielding point intervals). Above them the transfer
 // functions fall back to coarse — but still sound — interval arithmetic.
-constexpr std::uint64_t kExactRandomTerms = std::uint64_t{1} << 20;
 constexpr std::size_t kExactIrmEntries = std::size_t{1} << 16;
 constexpr std::uint64_t kExactTemplateRefs = std::uint64_t{1} << 20;
 constexpr std::uint32_t kExactReuseAssoc = 128;
@@ -76,6 +75,23 @@ bool refine_with_estimator(PatternFacts& facts, const PatternSpec& spec,
   return true;
 }
 
+/// For the O(1) closed forms: runs the estimator under the quiet budget,
+/// where only a budget-independent precondition (domain/overflow) can fail.
+/// Success is an exact point, failure a provable rejection with the
+/// evaluator's own kind. Returns whether the estimator succeeded.
+bool run_closed_form(PatternFacts& facts, const PatternSpec& spec,
+                     const CacheConfig& cache) {
+  EvalBudget quiet(quiet_limits());
+  const Result<double> r = try_estimate_accesses(spec, cache, &quiet);
+  if (!r.ok()) {
+    mark_reject(facts, r.error().kind);
+    return false;
+  }
+  facts.n_ha = Interval::point(*r);
+  facts.exact = true;
+  return true;
+}
+
 // ---- streaming (Eqs. 3-4) ------------------------------------------------
 //
 // The closed form is O(1), so the transfer function simply runs it: every
@@ -87,15 +103,9 @@ PatternFacts bounds_streaming(const StreamingSpec& spec,
   PatternFacts facts;
   facts.capacity_blocks = cache.total_blocks();
 
-  EvalBudget quiet(quiet_limits());
-  const Result<double> r =
-      try_estimate_accesses(PatternSpec{spec}, cache, &quiet);
-  if (!r.ok()) {
-    mark_reject(facts, r.error().kind);
+  if (!run_closed_form(facts, PatternSpec{spec}, cache)) {
     return facts;
   }
-  facts.n_ha = Interval::point(*r);
-  facts.exact = true;
   if (spec.element_bytes > 0 &&
       spec.element_count <= kU64Max / spec.element_bytes) {
     facts.working_set_blocks =
@@ -106,7 +116,10 @@ PatternFacts bounds_streaming(const StreamingSpec& spec,
 
 // ---- random (Eqs. 5-7) ---------------------------------------------------
 //
-// Coarse interval: the estimator returns
+// Uniform visits: Eq. 6 is a closed form, so, as for streaming, the
+// transfer function runs the estimator outright (run_closed_form).
+//
+// IRM histogram: coarse interval. The estimator returns
 //   footprint_blocks + min(B_elm, B_out) * iterations
 // with B_elm >= 0 (up to Kahan slack) and min(B_elm, B_out) <= B_out exactly
 // in floating point. IEEE rounding is monotone, so re-evaluating the same
@@ -157,6 +170,11 @@ PatternFacts bounds_random(const RandomSpec& spec, const CacheConfig& cache,
   }
   facts.exceeds_share = true;
 
+  if (spec.sorted_visit_fractions.empty()) {
+    run_closed_form(facts, PatternSpec{spec}, cache);
+    return facts;
+  }
+
   // The estimator validates the reload path (case 2) only after the
   // footprint-fits early return, so these checks must not fire above.
   for (const double f : spec.sorted_visit_fractions) {
@@ -169,45 +187,18 @@ PatternFacts bounds_random(const RandomSpec& spec, const CacheConfig& cache,
       return facts;
     }
   }
-  if (spec.sorted_visit_fractions.empty() &&
-      spec.element_count >
-          static_cast<std::uint64_t>(math::kMaxCombinatoricPopulation)) {
-    mark_reject(facts, ErrorKind::kOverflow);
-    return facts;
-  }
 
-  // Guard the estimator's share/e cast before replicating it.
-  const double cached_elements_d = cache_share / e;
-  const std::uint64_t m = to_u64_clamped(cached_elements_d);
-
-  if (facts.zero_steady_work ||
-      (spec.sorted_visit_fractions.empty() &&
-       std::min<std::uint64_t>(m, spec.element_count) ==
-           spec.element_count)) {
-    // iterations = 0, k = 0, or every element cached: the reload term is
-    // exactly zero and the estimator returns footprint_blocks.
+  if (facts.zero_steady_work) {
+    // iterations = 0: the reload term is exactly zero and the estimator
+    // returns footprint_blocks.
     facts.n_ha = Interval::point(footprint_blocks);
     facts.exact = true;
     return facts;
   }
 
-  if (refine_exact && cached_elements_d < 9.2e18) {
-    bool cheap = false;
-    if (!spec.sorted_visit_fractions.empty()) {
-      cheap = spec.sorted_visit_fractions.size() <= kExactIrmEntries;
-    } else {
-      const std::uint64_t m_clamped =
-          std::min<std::uint64_t>(m, spec.element_count);
-      const double k_clamped =
-          std::min(spec.visits_per_iteration,
-                   static_cast<double>(math::kMaxCombinatoricPopulation));
-      const double x_max = std::min(
-          static_cast<double>(spec.element_count - m_clamped), k_clamped);
-      cheap = x_max <= static_cast<double>(kExactRandomTerms);
-    }
-    if (cheap && refine_with_estimator(facts, spec, cache)) {
-      return facts;
-    }
+  if (refine_exact && spec.sorted_visit_fractions.size() <= kExactIrmEntries &&
+      refine_with_estimator(facts, spec, cache)) {
+    return facts;
   }
 
   // Coarse interval, exact-in-FP as argued above.
@@ -391,15 +382,9 @@ PatternFacts bounds_reuse(const ReuseSpec& spec, const CacheConfig& cache,
 PatternFacts bounds_tiled(const TiledSpec& spec, const CacheConfig& cache) {
   PatternFacts facts;
 
-  EvalBudget quiet(quiet_limits());
-  const Result<double> r =
-      try_estimate_accesses(PatternSpec{spec}, cache, &quiet);
-  if (!r.ok()) {
-    mark_reject(facts, r.error().kind);
+  if (!run_closed_form(facts, PatternSpec{spec}, cache)) {
     return facts;
   }
-  facts.n_ha = Interval::point(*r);
-  facts.exact = true;
 
   // The steady-state working set is one tile (clamped to the matrix edge,
   // as the evaluator clamps); the share is the structure's cache_ratio

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "dvf/dvf/model_spec.hpp"
@@ -54,6 +55,12 @@ class SparseConjugateGradient {
   [[nodiscard]] double output_signature() const { return solution_error(); }
 
  private:
+  /// CSR row i's nonzero range and the column of nonzero kk, checked to lie
+  /// inside the matrix; they throw when an injected flip broke an index.
+  [[nodiscard]] std::pair<std::size_t, std::size_t> checked_row(
+      std::size_t i) const;
+  [[nodiscard]] std::size_t checked_column(std::size_t kk) const;
+
   [[nodiscard]] std::uint64_t iteration_bound() const noexcept {
     return config_.max_iterations == 0 ? config_.n : config_.max_iterations;
   }
@@ -115,14 +122,17 @@ void SparseConjugateGradient::run(R& rec) {
     // Ap = A p (CSR SpMV with the p gather) and p.Ap.
     double p_ap = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
+      // An injected bit flip in the CSR index arrays must not send the
+      // SpMV out of bounds: each index is checked right after its load, and
+      // the row bounds are read once, so a later flip cannot move them.
       load(rec, row_id_, row_ptr_, i);
       load(rec, row_id_, row_ptr_, i + 1);
+      const auto [row_begin, row_end] = checked_row(i);
       double s = 0.0;
-      for (std::int32_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k) {
-        const auto kk = static_cast<std::size_t>(k);
+      for (std::size_t kk = row_begin; kk < row_end; ++kk) {
         load(rec, val_id_, values_, kk);
         load(rec, col_id_, col_idx_, kk);
-        const auto col = static_cast<std::size_t>(col_idx_[kk]);
+        const std::size_t col = checked_column(kk);
         load(rec, p_id_, p_, col);  // the indirect gather
         s += values_[kk] * p_[col];
       }

@@ -103,6 +103,23 @@ SparseConjugateGradient::SparseConjugateGradient(const Config& config)
                                         sizeof(double));
 }
 
+std::pair<std::size_t, std::size_t> SparseConjugateGradient::checked_row(
+    std::size_t i) const {
+  const std::int32_t begin = row_ptr_[i];
+  const std::int32_t end = row_ptr_[i + 1];
+  DVF_CHECK_MSG(0 <= begin && begin <= end &&
+                    static_cast<std::uint64_t>(end) <= nnz_,
+                "sparse CG: row pointer outside the CSR arrays");
+  return {static_cast<std::size_t>(begin), static_cast<std::size_t>(end)};
+}
+
+std::size_t SparseConjugateGradient::checked_column(std::size_t kk) const {
+  const std::int32_t col = col_idx_[kk];
+  DVF_CHECK_MSG(0 <= col && static_cast<std::uint64_t>(col) < config_.n,
+                "sparse CG: column index outside the matrix");
+  return static_cast<std::size_t>(col);
+}
+
 ModelSpec SparseConjugateGradient::model_spec() const {
   const std::uint64_t n = config_.n;
   const std::uint64_t iters =

@@ -11,8 +11,8 @@
 namespace dvf {
 
 /// Expected number of the k visited elements NOT resident in a cache holding
-/// m of the N elements, X_E (Eq. 6): sum over the hypergeometric pmf of
-/// Eq. 5. Exposed for unit tests and the DSL's diagnostics.
+/// m of the N elements, X_E (Eq. 6). The sum over Eq. 5's hypergeometric
+/// pmf is that distribution's mean, evaluated in O(1) as k (N - m) / N.
 [[nodiscard]] double expected_missing_elements(std::uint64_t element_count,
                                                std::uint64_t cached_elements,
                                                std::uint64_t visits);
@@ -28,10 +28,11 @@ namespace dvf {
 /// Estimated main-memory accesses: compulsory footprint load plus
 /// B_reload = min(B_elm, B_out) per iteration (Eq. 7). Classified EvalError
 /// instead of an exception: domain_error for invalid specs (non-positive
-/// sizes, cache_ratio outside (0, 1], non-finite k or histogram entries),
-/// overflow when the population exceeds the checked-combinatorics range,
-/// resource_limit when the Eq. 6 support is larger than the budget allows,
-/// deadline_exceeded when the budget's wall clock expires mid-sum.
+/// sizes, cache_ratio outside (0, 1], non-finite k or histogram entries,
+/// k > N without a histogram), overflow when the population exceeds the
+/// checked-combinatorics range, resource_limit when the histogram is larger
+/// than the budget allows, deadline_exceeded when the budget's wall clock
+/// has expired.
 /// `budget` may be null (process-default limits apply).
 [[nodiscard]] Result<double> try_estimate_random(const RandomSpec& spec,
                                                  const CacheConfig& cache,

@@ -14,25 +14,16 @@ namespace dvf {
 double expected_missing_elements(std::uint64_t element_count,
                                  std::uint64_t cached_elements,
                                  std::uint64_t visits) {
-  const auto n = static_cast<std::int64_t>(element_count);
-  const auto m = static_cast<std::int64_t>(cached_elements);
-  const auto k = static_cast<std::int64_t>(visits);
-  if (k <= 0 || n <= 0) {
-    return 0.0;
+  if (visits == 0 || element_count == 0 ||
+      cached_elements >= element_count) {
+    return 0.0;  // nothing visited, or everything fits: none can be missing
   }
-  if (m >= n) {
-    return 0.0;  // everything fits: no element can be missing
-  }
-  // Eq. 6: X_E = sum_{x=1}^{min(N-m, k)} x * P(X = x), where X = k minus the
-  // number of visited elements found among the m cached ones, so
-  // P(X = x) = Hypergeometric(total=N, marked=k, draws=m) at (k - x) (Eq. 5).
-  const std::int64_t x_max = std::min<std::int64_t>(n - m, k);
-  math::KahanSum sum;
-  for (std::int64_t x = 1; x <= x_max; ++x) {
-    const double p = math::hypergeometric_pmf(n, k, m, k - x);
-    sum.add(static_cast<double>(x) * p);
-  }
-  return sum.value();
+  // Eq. 6: X_E = sum_x x * P(X = x), where X = k minus the number of visited
+  // elements found among the m cached ones (Eq. 5's hypergeometric). The
+  // sum over the whole support is the mean of X, k - k*m/N = k (N - m) / N.
+  const double n = static_cast<double>(element_count);
+  return static_cast<double>(visits) *
+         (static_cast<double>(element_count - cached_elements) / n);
 }
 
 double expected_misses_lru_irm(std::span<const double> visit_fractions,
@@ -111,26 +102,19 @@ double expected_misses_lru_irm(std::span<const double> visit_fractions,
 
 namespace {
 
-/// Budgeted Eq. 6 sum: the same series as expected_missing_elements, but the
-/// support size is charged against the budget (an adversarial spec can make
-/// it ~2^62 terms) and the wall clock is observed between chunks.
+/// Budgeted Eq. 6: the closed form costs one reference at any k.
 Result<double> try_expected_missing_elements(std::int64_t n, std::int64_t m,
                                              std::int64_t k,
                                              EvalBudget& budget) {
   if (k <= 0 || n <= 0 || m >= n) {
     return 0.0;
   }
-  const std::int64_t x_max = std::min<std::int64_t>(n - m, k);
-  DVF_TRY_CHECK(budget.charge_references(static_cast<std::uint64_t>(x_max)));
-  math::KahanSum sum;
-  for (std::int64_t x = 1; x <= x_max; ++x) {
-    DVF_TRY_ASSIGN(p, math::checked_hypergeometric_pmf(n, k, m, k - x));
-    sum.add(static_cast<double>(x) * p);
-    if ((x & 0xFFFF) == 0) {
-      DVF_TRY_CHECK(budget.check_deadline());
-    }
-  }
-  return finite_or_error(sum.value(), "expected missing elements (Eq. 6)");
+  DVF_TRY_CHECK(budget.charge_references(1));  // closed form: O(1)
+  return finite_or_error(
+      expected_missing_elements(static_cast<std::uint64_t>(n),
+                                static_cast<std::uint64_t>(m),
+                                static_cast<std::uint64_t>(k)),
+      "expected missing elements (Eq. 6)");
 }
 
 }  // namespace
@@ -199,9 +183,16 @@ Result<double> try_estimate_random(const RandomSpec& spec,
               " exceeds the checked-combinatorics limit " +
               std::to_string(math::kMaxCombinatoricPopulation)};
     }
-    // llround is undefined for values outside the target range; the
-    // population guard above bounds the useful k, so anything beyond it is
-    // clamped (the Eq. 6 support caps at n - m anyway).
+    // Eq. 5 draws the k visited elements without replacement from N, so a
+    // larger k has no hypergeometric at all (lint's DVF-E012).
+    if (spec.visits_per_iteration > n) {
+      return EvalError{ErrorKind::kDomainError,
+                       "random: k (visits per iteration) exceeds the " +
+                           std::to_string(spec.element_count) +
+                           " elements; Eq. 5 needs k <= N"};
+    }
+    // llround is undefined for values outside the target range; clamp to
+    // the population guard's limit before rounding.
     const double k_clamped =
         std::min(spec.visits_per_iteration,
                  static_cast<double>(math::kMaxCombinatoricPopulation));

@@ -225,6 +225,43 @@ TEST(PatternBounds, RandomIntervalContainsTheEstimator) {
   }
 }
 
+TEST(PatternBounds, UniformRandomIsAnExactPointAtAnyVisitCount) {
+  // A 2^30-visit Eq. 6 support: the closed form runs outright, with or
+  // without refinement, and the point is the estimator's value.
+  RandomSpec spec;
+  spec.element_count = std::uint64_t{1} << 40;
+  spec.element_bytes = 8;
+  spec.visits_per_iteration = 0x1p30;
+  spec.iterations = 10;
+  for (const CacheConfig& cache : caches::all_profiling()) {
+    const double value =
+        try_estimate_accesses(PatternSpec{spec}, cache).value_or_throw();
+    for (const bool refine : {true, false}) {
+      const PatternFacts facts =
+          pattern_bounds(PatternSpec{spec}, cache, refine);
+      ASSERT_FALSE(facts.provably_rejects) << cache.describe();
+      EXPECT_TRUE(facts.exact) << cache.describe();
+      EXPECT_EQ(facts.n_ha.lo, value) << cache.describe();
+      EXPECT_EQ(facts.n_ha.hi, value) << cache.describe();
+    }
+  }
+}
+
+TEST(PatternBounds, VisitsBeyondThePopulationProvablyReject) {
+  RandomSpec spec;
+  spec.element_count = 4096;
+  spec.element_bytes = 16;  // 64 KiB: over the 16 KiB share
+  spec.visits_per_iteration = 5000.0;
+  spec.iterations = 3;
+  const CacheConfig cache = caches::profiling_16kb();
+  const PatternFacts facts = pattern_bounds(PatternSpec{spec}, cache);
+  EXPECT_TRUE(facts.provably_rejects);
+  EXPECT_EQ(facts.reject_kind, ErrorKind::kDomainError);
+  const auto result = try_estimate_accesses(PatternSpec{spec}, cache);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error().kind, ErrorKind::kDomainError);
+}
+
 TEST(PatternBounds, TemplateTightensToAPointWhenCheap) {
   TemplateSpec spec;
   spec.element_bytes = 8;

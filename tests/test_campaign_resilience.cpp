@@ -266,6 +266,43 @@ TEST(CampaignResilience, MisbehavingCampaignBitIdenticalAcrossThreads) {
   }
 }
 
+TEST(CampaignResilience, SparseCgIndexFlipsAreDuesNotCrashes) {
+  // Flips in CGS's CSR row pointers and column indices used to send its
+  // SpMV out of bounds (dvfc campaign CGS --trials 60 --seed 2014 died
+  // with SIGSEGV). They must classify as DUEs, the same at any thread count.
+  const auto find_cgs = [](auto& suite) -> kernels::KernelCase& {
+    for (auto& kernel : suite) {
+      if (kernel->name() == "CGS") {
+        return *kernel;
+      }
+    }
+    throw std::runtime_error("no CGS in the extended suite");
+  };
+  CampaignConfig config;
+  config.trials_per_structure = 60;
+  config.seed = 2014;
+
+  auto reference_suite = kernels::make_extended_suite();
+  config.threads = 1;
+  const auto reference =
+      kernels::run_injection_campaign(find_cgs(reference_suite), config);
+  std::uint64_t index_dues = 0;
+  for (const StructureInjectionStats& s : reference) {
+    EXPECT_EQ(s.masked + s.sdc + s.due_exception + s.due_hang + s.due_invalid,
+              s.trials)
+        << s.structure;
+    if (s.structure == "row" || s.structure == "col") {
+      index_dues += s.due_exception;
+    }
+  }
+  EXPECT_GT(index_dues, 0u);
+
+  auto suite = kernels::make_extended_suite();
+  config.threads = 4;
+  expect_stats_equal(kernels::run_injection_campaign(find_cgs(suite), config),
+                     reference, "threads=4");
+}
+
 // --- Journal format --------------------------------------------------------
 
 std::string temp_path(const std::string& name) {

@@ -4,9 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 
+#include "dvf/common/budget.hpp"
 #include "dvf/common/error.hpp"
+#include "dvf/common/math.hpp"
+#include "dvf/common/rng.hpp"
 
 namespace dvf {
 namespace {
@@ -31,6 +36,39 @@ TEST(ExpectedMissing, MatchesClosedFormMean) {
   const std::uint64_t k = 50;
   EXPECT_NEAR(expected_missing_elements(n, m, k),
               static_cast<double>(k) * (1.0 - 300.0 / 1000.0), 1e-9);
+}
+
+/// Eq. 6 summed term by term (compensated) over the hypergeometric pmf of
+/// Eq. 5: the series the closed form replaced, kept as its oracle.
+double eq6_series(std::int64_t n, std::int64_t m, std::int64_t k) {
+  if (k <= 0 || n <= 0 || m >= n) {
+    return 0.0;
+  }
+  const std::int64_t x_max = std::min(n - m, k);
+  math::KahanSum sum;
+  for (std::int64_t x = 1; x <= x_max; ++x) {
+    sum.add(static_cast<double>(x) * math::hypergeometric_pmf(n, k, m, k - x));
+  }
+  return sum.value();
+}
+
+TEST(ExpectedMissing, ClosedFormMatchesTheSeriesOnRandomSpecs) {
+  // N log-uniform in [1, 2e6]; m and k uniform over their whole range.
+  Xoshiro256 rng(2014);
+  for (int trial = 0; trial < 60; ++trial) {
+    const auto n = static_cast<std::uint64_t>(
+        std::exp(rng.uniform() * std::log(2.0e6)));
+    const auto m = static_cast<std::uint64_t>(
+        rng.uniform() * static_cast<double>(n + 1));
+    const auto k = static_cast<std::uint64_t>(
+        rng.uniform() * static_cast<double>(n + 1));
+    const double closed = expected_missing_elements(n, m, k);
+    const double series =
+        eq6_series(static_cast<std::int64_t>(n), static_cast<std::int64_t>(m),
+                   static_cast<std::int64_t>(k));
+    EXPECT_NEAR(closed, series, 1e-7 * series)
+        << "N=" << n << " m=" << m << " k=" << k;
+  }
 }
 
 TEST(ExpectedMissing, MonotoneInCacheSize) {
@@ -109,6 +147,37 @@ TEST(RandomEstimate, RejectsInvalidSpecs) {
   spec.visits_per_iteration = -1.0;
   EXPECT_THROW((void)try_estimate_random(spec, c).value_or_throw(),
                InvalidArgumentError);
+}
+
+TEST(RandomEstimate, UniformChargesOneReferenceAtAnyVisitCount) {
+  RandomSpec spec;
+  spec.element_count = std::uint64_t{1} << 40;
+  spec.element_bytes = 8;
+  spec.iterations = 10;
+  const CacheConfig c = cache(16, 4096, 64);  // 4 MiB
+  for (const double k : {1.0, 0x1p20, 0x1p30, 0x1p40}) {
+    spec.visits_per_iteration = k;
+    EvalBudget budget;
+    ASSERT_TRUE(try_estimate_random(spec, c, &budget).ok()) << "k=" << k;
+    EXPECT_EQ(budget.references_used(), 1U) << "k=" << k;
+  }
+}
+
+TEST(RandomEstimate, VisitsBeyondThePopulationNeedAnOverflowingShare) {
+  // k > N (lint's DVF-E012) is a domain error only past the footprint-fits
+  // return: a structure that fits its share is compulsory-only at any k.
+  RandomSpec spec;
+  spec.element_count = 100;
+  spec.element_bytes = 8;  // 800 B fits the 8 KiB cache
+  spec.visits_per_iteration = 500;
+  spec.iterations = 10;
+  const CacheConfig c = cache(4, 64, 32);
+  EXPECT_DOUBLE_EQ(try_estimate_random(spec, c).value_or_throw(), 25.0);
+  spec.element_count = 400;
+  spec.element_bytes = 64;  // 25.6 KB does not fit
+  const Result<double> r = try_estimate_random(spec, c);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().kind, ErrorKind::kDomainError);
 }
 
 // ---- IRM / Che extension --------------------------------------------------

@@ -360,6 +360,26 @@ TEST(ServeEngine, ExpansionBombDegradesToTypedError) {
   EXPECT_EQ(error_kind(response), "resource_limit");
 }
 
+TEST(ServeEngine, VisitsBeyondThePopulationIsTypedDomainError) {
+  // tests/lint_cases/e012_random_infeasible.aspen with a structure too big
+  // for its cache share, so Eq. 6 (which needs k <= N) is reached.
+  const std::string infeasible =
+      "machine \"laptop\" {\n"
+      "  cache { associativity 4; sets 64; line 32; }\n"
+      "  memory { fit 5000; }\n"
+      "}\n"
+      "model \"case\" {\n"
+      "  time 1.0;\n"
+      "  data A { elements 1000; element_size 64; }\n"
+      "  pattern A random { visits 5000; iterations 10; }\n"
+      "}\n";
+  Engine engine;
+  const JsonParsed response =
+      expect_response(engine.handle_line(eval_frame("1", infeasible)));
+  EXPECT_FALSE(response.value.find("ok")->boolean);
+  EXPECT_EQ(error_kind(response), "domain_error");
+}
+
 TEST(ServeEngine, MetricsOpReportsCacheCounters) {
   Engine engine;
   (void)engine.handle_line(eval_frame("1", kModelSource));

@@ -104,17 +104,25 @@ TEST(TotalityRandom, PopulationBeyondCombinatoricLimitIsOverflow) {
                      ErrorKind::kOverflow);
 }
 
-TEST(TotalityRandom, HugeEqSixSupportTripsTheReferenceBudget) {
+TEST(TotalityRandom, HugeEqSixSupportIsAnsweredUnlessCancelled) {
+  // Eq. 6 is a closed form: a support of 2^30 terms costs one reference.
   EvalLimits limits;
-  limits.max_references = 1024;  // Eq. 6 support below will exceed this
+  limits.max_references = 1;
   EvalBudget budget(limits);
   RandomSpec spec;
-  spec.element_count = 1 << 20;
+  spec.element_count = std::uint64_t{1} << 40;
   spec.element_bytes = 64;  // footprint far beyond the 8 KiB cache
-  spec.visits_per_iteration = 100000.0;
+  spec.visits_per_iteration = 0x1p30;
   spec.iterations = 3;
-  EXPECT_TOTAL_ERROR(try_estimate_random(spec, small_cache(), &budget),
-                     ErrorKind::kResourceLimit);
+  const Result<double> answered =
+      try_estimate_random(spec, small_cache(), &budget);
+  ASSERT_TRUE(answered.ok());
+  EXPECT_TRUE(std::isfinite(*answered));
+
+  EvalBudget cancelled;
+  cancelled.cancel();
+  EXPECT_TOTAL_ERROR(try_estimate_random(spec, small_cache(), &cancelled),
+                     ErrorKind::kDeadlineExceeded);
 }
 
 TEST(TotalityRandom, OutOfRangeVisitFractionIsDomainError) {
