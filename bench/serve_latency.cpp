@@ -14,6 +14,12 @@
 //   - shed_2x:      a real Server on a Unix socket, one worker pinned on a
 //     slow evaluation, then a burst of 2x queue_capacity frames; counts
 //     overloaded responses against total offered.
+//   - hit_split:    what one cache hit of a vector-multiply source (two
+//     machines, three streamed structures) spends on each step, timed one
+//     step at a time: the whole hit, frame decode, source fingerprint, the
+//     estimators, number formatting, and one default thread-count
+//     resolution (the calculator resolves it only for models of at least
+//     kParallelStructureThreshold structures).
 //
 // Writes BENCH_serve.json (schema-checked by scripts/check_bench_json.py).
 // Set DVF_BENCH_QUICK=1 for a smaller request count (CI smoke).
@@ -28,16 +34,24 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_json.hpp"
+#include "dvf/dsl/analyzer.hpp"
+#include "dvf/dsl/parser.hpp"
+#include "dvf/dvf/calculator.hpp"
 #include "dvf/kernels/kernel_common.hpp"
 #include "dvf/obs/obs.hpp"
+#include "dvf/parallel/thread_pool.hpp"
+#include "dvf/patterns/estimate.hpp"
 #include "dvf/report/table.hpp"
+#include "dvf/serve/cache.hpp"
 #include "dvf/serve/engine.hpp"
 #include "dvf/serve/json.hpp"
+#include "dvf/serve/protocol.hpp"
 #include "dvf/serve/server.hpp"
 
 namespace {
@@ -234,6 +248,125 @@ ShedOutcome measure_shed(const std::string& socket_path) {
   return outcome;
 }
 
+/// The vector-multiply shape of the pipeline benchmark's serve_mix
+/// workload: three streams, on a laptop and a chipkill server.
+constexpr const char* kVmSource =
+    "// Vector multiply (paper §III-D): three streamed arrays, A read with a\n"
+    R"dsl(// stride, evaluated on a laptop and a chipkill-protected server.
+param n = 517;       // elements referenced per array
+param elem = 8;      // bytes per element
+param skip = 4;      // A's stride in elements
+param a_elements = n * skip;
+param b_elements = n;
+param c_elements = n;
+
+machine "laptop" {
+  cache { associativity 4; sets 64; line 32; }
+  memory { fit 5000; }  // unprotected DRAM, FIT/Mbit
+}
+machine "server" {
+  cache { associativity 16; sets 4096; line 64; }
+  memory { ecc "chipkill"; }
+}
+
+model "VM-517" {
+  time 0.001234;
+  data A { elements a_elements; element_size elem; }
+  pattern A stream { stride skip; }
+  data B { elements b_elements; element_size elem; }
+  pattern B stream { stride 1; }
+  data C { elements c_elements; element_size elem; }
+  pattern C stream { stride 1; }
+}
+)dsl";
+
+/// Median over 41 batches of `inner` calls, in microseconds per call.
+template <typename Step>
+double median_us(std::uint64_t inner, Step&& step) {
+  std::vector<double> batches;
+  for (int batch = 0; batch < 41; ++batch) {
+    const dvf::kernels::Stopwatch watch;
+    for (std::uint64_t i = 0; i < inner; ++i) {
+      step();
+    }
+    batches.push_back(watch.seconds() * 1e6 / static_cast<double>(inner));
+  }
+  std::sort(batches.begin(), batches.end());
+  return batches[batches.size() / 2];
+}
+
+struct HitSplit {
+  std::uint64_t frame_bytes = 0;
+  std::uint64_t pairs = 0;    ///< (machine, model) evaluations per hit
+  std::uint64_t numbers = 0;  ///< doubles formatted per response
+  double hit_us = 0.0;
+  double decode_us = 0.0;
+  double fingerprint_us = 0.0;
+  double estimators_us = 0.0;
+  double format_us = 0.0;
+  double thread_count_us = 0.0;  ///< one resolve_thread_count(0) call
+};
+
+HitSplit measure_hit_split(std::uint64_t inner) {
+  const std::string source = kVmSource;
+  const std::string frame = eval_frame(1, source);
+  Engine engine;
+  (void)engine.handle_line(frame);  // the miss that fills the cache
+
+  dvf::dsl::DiagnosticEngine diags;
+  const dvf::dsl::CompiledProgram program =
+      dvf::dsl::analyze(dvf::dsl::parse(source), diags);
+  HitSplit split;
+  split.frame_bytes = frame.size();
+  std::vector<double> numbers;
+  for (const dvf::Machine& machine : program.machines) {
+    const dvf::DvfCalculator calculator(machine);
+    for (const dvf::ModelSpec& model : program.models) {
+      const dvf::ApplicationDvf app =
+          calculator.try_for_model(model).value_or_throw();
+      ++split.pairs;
+      numbers.insert(numbers.end(), {app.exec_time_seconds, app.total});
+      for (const dvf::StructureDvf& s : app.structures) {
+        numbers.insert(numbers.end(), {s.size_bytes, s.n_ha, s.n_error, s.dvf});
+      }
+    }
+  }
+  split.numbers = numbers.size();
+
+  std::size_t sink = 0;
+  split.hit_us =
+      median_us(inner, [&] { sink += engine.handle_line(frame).size(); });
+  split.decode_us = median_us(inner, [&] {
+    sink += dvf::serve::parse_request(frame).request.source.size();
+  });
+  split.fingerprint_us =
+      median_us(inner, [&] { sink += dvf::serve::fnv1a64(source); });
+  split.estimators_us = median_us(inner, [&] {
+    for (const dvf::Machine& machine : program.machines) {
+      for (const dvf::ModelSpec& model : program.models) {
+        for (const dvf::DataStructureSpec& ds : model.structures) {
+          sink += static_cast<std::size_t>(
+              dvf::try_estimate_accesses(
+                  std::span<const dvf::PatternSpec>(ds.patterns), machine.llc,
+                  nullptr)
+                  .value_or_throw());
+        }
+      }
+    }
+  });
+  split.format_us = median_us(inner, [&] {
+    for (const double x : numbers) {
+      sink += dvf::serve::json_number(x).size();
+    }
+  });
+  split.thread_count_us = median_us(
+      inner, [&] { sink += dvf::parallel::resolve_thread_count(0); });
+  if (sink == 0) {
+    std::cerr << "serve_latency: hit split measured nothing\n";
+  }
+  return split;
+}
+
 }  // namespace
 
 int main() {
@@ -270,6 +403,8 @@ int main() {
                                : static_cast<double>(shed.shed) /
                                      static_cast<double>(shed.offered);
 
+  const HitSplit split = measure_hit_split(quick ? 20 : 200);
+
   dvf::Table table({"scenario", "mean (us)", "p50 (us)", "p99 (us)"});
   table.add_row({"cold compile", dvf::num(cold.mean_us, 1),
                  dvf::num(cold.p50_us, 1), dvf::num(cold.p99_us, 1)});
@@ -280,6 +415,21 @@ int main() {
                        dvf::num(static_cast<double>(shed.offered), 0),
        "-", "-"});
   std::cout << table << "\n";
+
+  dvf::Table steps({"hit step (VM, " + std::to_string(split.frame_bytes) +
+                        "-byte frame)",
+                    "us per request (median)"});
+  steps.add_row({"whole hit", dvf::num(split.hit_us, 2)});
+  steps.add_row({"frame decode", dvf::num(split.decode_us, 2)});
+  steps.add_row({"fingerprint", dvf::num(split.fingerprint_us, 2)});
+  steps.add_row({"estimators (" + std::to_string(split.pairs) + " pairs)",
+                 dvf::num(split.estimators_us, 2)});
+  steps.add_row({"number formatting (" + std::to_string(split.numbers) +
+                     " numbers)",
+                 dvf::num(split.format_us, 2)});
+  steps.add_row({"one thread-count resolution",
+                 dvf::num(split.thread_count_us, 2)});
+  std::cout << steps << "\n";
 
   dvf::bench::JsonRecords json;
   json.add(dvf::bench::JsonRecords::Record{}
@@ -301,6 +451,17 @@ int main() {
                .field("answered", shed.answered)
                .field("shed", shed.shed)
                .field("shed_rate", shed_rate));
+  json.add(dvf::bench::JsonRecords::Record{}
+               .field("scenario", std::string("hit_split"))
+               .field("frame_bytes", split.frame_bytes)
+               .field("pairs", split.pairs)
+               .field("numbers", split.numbers)
+               .field("hit_us", split.hit_us)
+               .field("decode_us", split.decode_us)
+               .field("fingerprint_us", split.fingerprint_us)
+               .field("estimators_us", split.estimators_us)
+               .field("format_us", split.format_us)
+               .field("thread_count_us", split.thread_count_us));
   json.set_metrics(
       dvf::obs::render_metrics_json(dvf::obs::snapshot_metrics()));
   json.write("serve");

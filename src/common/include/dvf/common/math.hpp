@@ -52,39 +52,17 @@ class KahanSum {
 [[nodiscard]] double stable_sum(std::span<const double> xs);
 
 // ---------------------------------------------------------------------------
-// Checked combinatorics. Eqs. 5-7 route through log-gamma, which keeps the
-// LOG finite for any population — but exp() of a log can still overflow, and
-// above kMaxCombinatoricPopulation the log-gamma differences have lost every
-// significant digit (lgamma(n) grows like n*ln(n); at n ≈ 2^48 its absolute
-// rounding error reaches order 1 in log space, i.e. a factor of e in the
-// probability). The checked variants classify both failure modes instead of
-// returning garbage, and are what the total try_* evaluators call.
+// Population guard. Eqs. 5-7 route through log-gamma, which keeps the LOG
+// finite for any population, but above kMaxCombinatoricPopulation the
+// log-gamma differences have lost every significant digit (lgamma(n) grows
+// like n*ln(n); at n ≈ 2^48 its absolute rounding error reaches order 1 in
+// log space, i.e. a factor of e in the probability).
 
-/// Largest population the checked combinatorics accept. Beyond it the
-/// result would be numerically meaningless, so the checked functions return
-/// a classified overflow error instead.
+/// Largest population the random and reuse estimators accept. Beyond it the
+/// result would be numerically meaningless, so they return a classified
+/// overflow error instead.
 inline constexpr std::int64_t kMaxCombinatoricPopulation = std::int64_t{1}
                                                            << 48;
-
-/// ln C(n, k) with population guard: overflow error when n exceeds
-/// kMaxCombinatoricPopulation, -infinity (a VALUE, not an error) when the
-/// coefficient is exactly zero.
-[[nodiscard]] Result<double> checked_log_binomial(std::int64_t n,
-                                                  std::int64_t k);
-
-/// C(n, k), classifying exp-overflow (the coefficient exceeds the double
-/// range) and oversized populations. Out-of-support (k < 0, k > n) is the
-/// exact value 0.
-[[nodiscard]] Result<double> checked_binomial(std::int64_t n, std::int64_t k);
-
-/// Hypergeometric pmf with population guard and a finiteness check on the
-/// result. Out-of-support arguments (draws > total, marked > total, k
-/// outside the support) are the exact value 0, matching the unchecked
-/// function.
-[[nodiscard]] Result<double> checked_hypergeometric_pmf(std::int64_t total,
-                                                         std::int64_t marked,
-                                                         std::int64_t draws,
-                                                         std::int64_t k);
 
 /// Kahan sum that classifies non-finite inputs (non_finite error naming the
 /// offending index) and overflow of the accumulated total, instead of

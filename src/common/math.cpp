@@ -94,58 +94,6 @@ double stable_sum(std::span<const double> xs) {
   return s.value();
 }
 
-namespace {
-
-[[nodiscard]] Result<void> check_population(std::int64_t n) {
-  if (n > kMaxCombinatoricPopulation) {
-    return EvalError{ErrorKind::kOverflow,
-                     "population " + std::to_string(n) +
-                         " exceeds the checked-combinatorics limit " +
-                         std::to_string(kMaxCombinatoricPopulation) +
-                         " (log-gamma differences lose all precision)"};
-  }
-  return {};
-}
-
-}  // namespace
-
-Result<double> checked_log_binomial(std::int64_t n, std::int64_t k) {
-  DVF_TRY_CHECK(check_population(n));
-  return log_binomial(n, k);
-}
-
-Result<double> checked_binomial(std::int64_t n, std::int64_t k) {
-  DVF_TRY_CHECK(check_population(n));
-  const double lb = log_binomial(n, k);
-  if (std::isinf(lb)) {
-    return 0.0;  // empty support: exactly zero ways
-  }
-  const double value = std::exp(lb);
-  if (!std::isfinite(value)) {
-    return EvalError{ErrorKind::kOverflow,
-                     "C(" + std::to_string(n) + ", " + std::to_string(k) +
-                         ") exceeds the double range (ln C = " +
-                         std::to_string(lb) + ")"};
-  }
-  return value;
-}
-
-Result<double> checked_hypergeometric_pmf(std::int64_t total,
-                                          std::int64_t marked,
-                                          std::int64_t draws, std::int64_t k) {
-  DVF_TRY_CHECK(check_population(total));
-  const double p = hypergeometric_pmf(total, marked, draws, k);
-  if (!std::isfinite(p)) {
-    return EvalError{ErrorKind::kNonFinite,
-                     "hypergeometric pmf(total=" + std::to_string(total) +
-                         ", marked=" + std::to_string(marked) +
-                         ", draws=" + std::to_string(draws) +
-                         ", k=" + std::to_string(k) +
-                         ") is not finite"};
-  }
-  return p;
-}
-
 Result<double> checked_sum(std::span<const double> xs) {
   KahanSum s;
   for (std::size_t i = 0; i < xs.size(); ++i) {

@@ -148,9 +148,10 @@ Result<ApplicationDvf> DvfCalculator::try_for_model(
     }
   };
 
-  const unsigned threads = parallel::resolve_thread_count(threads_);
-  if (threads > 1 &&
-      model.structures.size() >= kParallelStructureThreshold) {
+  // Structure count first: resolving a default thread count can read sysfs
+  // (hardware_concurrency), which small models must never pay for.
+  if (model.structures.size() >= kParallelStructureThreshold &&
+      parallel::resolve_thread_count(threads_) > 1) {
     // Per-structure evaluations are independent; fan them out and keep the
     // Eq. 2 summation in model order below, so the result matches the
     // serial path bit for bit.

@@ -191,12 +191,9 @@ Result<double> try_estimate_random(const RandomSpec& spec,
                            std::to_string(spec.element_count) +
                            " elements; Eq. 5 needs k <= N"};
     }
-    // llround is undefined for values outside the target range; clamp to
-    // the population guard's limit before rounding.
-    const double k_clamped =
-        std::min(spec.visits_per_iteration,
-                 static_cast<double>(math::kMaxCombinatoricPopulation));
-    const auto k = static_cast<std::int64_t>(std::llround(k_clamped));
+    // k is finite and at most N <= 2^48 here, so llround is defined.
+    const auto k =
+        static_cast<std::int64_t>(std::llround(spec.visits_per_iteration));
     // Clamp m to the population before the signed cast: m can reach 2^64 / E
     // for huge caches, and Eq. 6 only cares whether m >= n anyway.
     const auto m_clamped = static_cast<std::int64_t>(

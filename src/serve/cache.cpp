@@ -21,12 +21,11 @@ void CompiledModelCache::touch(Slot& slot) {
 }
 
 std::shared_ptr<const CompiledEntry> CompiledModelCache::find_source(
-    std::string_view source) {
+    std::string_view source, std::uint64_t fingerprint) {
   if (capacity_ == 0) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
   }
-  const std::uint64_t fingerprint = fnv1a64(source);
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = by_fingerprint_.find(fingerprint);
   if (it == by_fingerprint_.end() || it->second.entry->source != source) {

@@ -222,7 +222,8 @@ std::string Engine::handle_metrics(const EvalRequest& request) {
 }
 
 std::shared_ptr<const CompiledEntry> Engine::compile_source(
-    const EvalRequest& request, std::string& error_out) {
+    const EvalRequest& request, std::uint64_t fingerprint,
+    std::string& error_out) {
   dsl::Program ast;
   try {
     ast = dsl::parse(request.source);
@@ -242,7 +243,7 @@ std::shared_ptr<const CompiledEntry> Engine::compile_source(
     return nullptr;
   }
   entry->source = request.source;
-  entry->source_fingerprint = fnv1a64(request.source);
+  entry->source_fingerprint = fingerprint;
   entry->canonical_hash =
       analysis::canonical_hash(entry->program.machines, entry->program.models);
   return cache_.insert(std::move(entry));
@@ -263,11 +264,12 @@ std::string Engine::handle_eval(const EvalRequest& request) {
               "request with 'source'");
     }
   } else {
-    entry = cache_.find_source(request.source);
+    const std::uint64_t fingerprint = fnv1a64(request.source);
+    entry = cache_.find_source(request.source, fingerprint);
     if (entry == nullptr) {
       cache_hit = false;
       std::string error;
-      entry = compile_source(request, error);
+      entry = compile_source(request, fingerprint, error);
       if (entry == nullptr) {
         errors_.fetch_add(1, std::memory_order_relaxed);
         obs::counter("serve.error.model_error").add();
@@ -275,7 +277,15 @@ std::string Engine::handle_eval(const EvalRequest& request) {
       }
     }
   }
-  obs::counter(cache_hit ? "serve.cache.hit" : "serve.cache.miss").add();
+  // Handles are registered on first use in each branch, so the metrics op
+  // lists a name only once that outcome has happened.
+  if (cache_hit) {
+    static const obs::Counter hits = obs::counter("serve.cache.hit");
+    hits.add();
+  } else {
+    static const obs::Counter misses = obs::counter("serve.cache.miss");
+    misses.add();
+  }
   const dsl::CompiledProgram& program = entry->program;
 
   // Resolve the machine set: a named machine must exist; an unnamed request
@@ -380,8 +390,11 @@ std::string Engine::handle_eval(const EvalRequest& request) {
   const std::uint64_t eval_us = (steady_ns() - eval_start) / 1000;
 
   ok_.fetch_add(1, std::memory_order_relaxed);
-  obs::counter("serve.eval.ok").add();
-  obs::histogram("serve.eval_us").record(eval_us);
+  static const obs::Counter evals_ok = obs::counter("serve.eval.ok");
+  static const obs::Histogram eval_us_histogram =
+      obs::histogram("serve.eval_us");
+  evals_ok.add();
+  eval_us_histogram.record(eval_us);
 
   std::string out = "{\"id\":" + request.id_json +
                     ",\"ok\":true,\"op\":\"eval\",\"cache\":";

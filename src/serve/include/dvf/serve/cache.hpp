@@ -51,10 +51,11 @@ class CompiledModelCache {
   /// is stored).
   explicit CompiledModelCache(std::size_t capacity);
 
-  /// Looks up by source bytes. A hit refreshes LRU order and counts in
+  /// Looks up by source bytes, whose fnv1a64 the caller passes in so a miss
+  /// can reuse it for insert(). A hit refreshes LRU order and counts in
   /// hits(); a miss returns nullptr (the caller compiles and insert()s).
   [[nodiscard]] std::shared_ptr<const CompiledEntry> find_source(
-      std::string_view source);
+      std::string_view source, std::uint64_t fingerprint);
 
   /// Looks up by canonical hash (hash-only requests). Also LRU-refreshing.
   [[nodiscard]] std::shared_ptr<const CompiledEntry> find_hash(

@@ -94,10 +94,12 @@ class Engine {
   std::string handle_eval(const EvalRequest& request);
   std::string handle_metrics(const EvalRequest& request);
 
-  /// Compiles `source` (or fails with a typed error already formatted into
-  /// `error_out`). On success the entry is cached.
+  /// Compiles `source`, whose fnv1a64 is `fingerprint` (or fails with a
+  /// typed error already formatted into `error_out`). On success the entry
+  /// is cached.
   std::shared_ptr<const CompiledEntry> compile_source(
-      const EvalRequest& request, std::string& error_out);
+      const EvalRequest& request, std::uint64_t fingerprint,
+      std::string& error_out);
 
   /// Wall-clock budget for one request: the request's deadline (clamped to
   /// max_deadline_s, defaulted to default_deadline_s) further capped by

@@ -57,6 +57,10 @@ struct JsonValue {
   /// Member lookup on an object (last occurrence wins); nullptr when the
   /// key is absent or this is not an object.
   [[nodiscard]] const JsonValue* find(std::string_view key) const noexcept;
+  /// Mutable lookup, so a consumer can move a member's payload out.
+  [[nodiscard]] JsonValue* find(std::string_view key) noexcept {
+    return const_cast<JsonValue*>(std::as_const(*this).find(key));
+  }
 };
 
 /// Outcome of parse_json. On failure `error` describes the first problem

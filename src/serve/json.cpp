@@ -229,6 +229,17 @@ class Decoder {
   bool parse_string(std::string& out) {
     ++pos_;  // opening '"'
     while (true) {
+      // Copy the run of plain bytes up to the next quote, backslash or
+      // control character in one append.
+      const std::size_t run_start = pos_;
+      while (pos_ < text_.size()) {
+        const auto c = static_cast<unsigned char>(text_[pos_]);
+        if (c == '"' || c == '\\' || c < 0x20) {
+          break;
+        }
+        ++pos_;
+      }
+      out.append(text_.data() + run_start, pos_ - run_start);
       if (at_end()) {
         return fail("unterminated string");
       }
@@ -237,13 +248,8 @@ class Decoder {
         ++pos_;
         return true;
       }
-      if (static_cast<unsigned char>(c) < 0x20) {
-        return fail("unescaped control character in string");
-      }
       if (c != '\\') {
-        out.push_back(c);
-        ++pos_;
-        continue;
+        return fail("unescaped control character in string");
       }
       ++pos_;  // '\'
       if (at_end()) {
@@ -387,10 +393,11 @@ std::string json_number(double value) {
   if (!std::isfinite(value)) {
     return "null";
   }
-  char buf[40];
-  const std::size_t len = static_cast<std::size_t>(
-      std::snprintf(buf, sizeof buf, "%.17g", value));
-  return std::string(buf, len);
+  // General format at precision 17 is defined to match printf's "%.17g".
+  char buf[32];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, value,
+                                       std::chars_format::general, 17);
+  return std::string(buf, end);
 }
 
 }  // namespace dvf::serve

@@ -1,8 +1,9 @@
 #include "dvf/serve/protocol.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <utility>
 
 namespace dvf::serve {
 
@@ -38,9 +39,11 @@ std::optional<std::string> id_to_json(const JsonValue& id) {
 }  // namespace
 
 std::string hash_hex(std::uint64_t hash) {
-  char text[19] = {};
-  std::snprintf(text, sizeof text, "0x%016llx",
-                static_cast<unsigned long long>(hash));
+  std::string text = "0x0000000000000000";
+  char digits[16];
+  const auto [end, ec] =
+      std::to_chars(digits, digits + sizeof digits, hash, 16);
+  std::copy(digits, end, text.end() - (end - digits));
   return text;
 }
 
@@ -61,7 +64,7 @@ std::optional<std::uint64_t> parse_hash_hex(std::string_view text) {
 }
 
 RequestParse parse_request(std::string_view line) {
-  const JsonParsed parsed = parse_json(line);
+  JsonParsed parsed = parse_json(line);
   if (!parsed.ok) {
     return reject("null", wire::kParseError,
                   parsed.error + " (at byte " +
@@ -99,11 +102,11 @@ RequestParse parse_request(std::string_view line) {
                       "' (expected eval, ping or metrics)");
   }
 
-  if (const JsonValue* source = parsed.value.find("source")) {
+  if (JsonValue* source = parsed.value.find("source")) {
     if (!source->is_string()) {
       return reject(id_json, wire::kBadRequest, "'source' must be a string");
     }
-    request.source = source->string;
+    request.source = std::move(source->string);
   }
   if (const JsonValue* hash = parsed.value.find("hash")) {
     if (!hash->is_string()) {

@@ -12,16 +12,21 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <random>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
 
+#include "dvf/dvf/calculator.hpp"
 #include "dvf/obs/obs.hpp"
 #include "dvf/serve/cache.hpp"
 #include "dvf/serve/engine.hpp"
@@ -57,6 +62,40 @@ TEST(ServeJson, SurrogatePairsDecodeToUtf8) {
   const JsonParsed parsed = parse_json("\"\\ud83d\\ude00\"");  // 😀
   ASSERT_TRUE(parsed.ok);
   EXPECT_EQ(parsed.value.string, "\xF0\x9F\x98\x80");
+  // Between plain runs, which the decoder copies in bulk.
+  const JsonParsed between = parse_json(R"("ab\ud83d\ude00cd")");
+  ASSERT_TRUE(between.ok) << between.error;
+  EXPECT_EQ(between.value.string, "ab\xF0\x9F\x98\x80" "cd");
+}
+
+// The string decoder copies runs of plain bytes in bulk; escapes at either
+// end of a string or next to each other must not lose or repeat a byte.
+TEST(ServeJson, EscapesAtStringEdgesAndAdjacent) {
+  EXPECT_EQ(parse_json(R"("\nabc\t")").value.string, "\nabc\t");
+  EXPECT_EQ(parse_json(R"("\"")").value.string, "\"");
+  EXPECT_EQ(parse_json(R"("a\\\"\/\b\f\n\r\tz")").value.string,
+            "a\\\"/\b\f\n\r\tz");
+  EXPECT_EQ(parse_json(R"("\u0041\u00e9\n")").value.string, "A\xC3\xA9\n");
+  EXPECT_EQ(parse_json(R"("")").value.string, "");
+}
+
+TEST(ServeJson, RawControlCharacterRejectedAtItsOffset) {
+  const std::pair<std::string, std::size_t> cases[] = {
+      {"\"abc\x01" "def\"", 4},  // mid-run
+      {"\"\x1f\"", 1},           // first byte of the string
+      {"\"a\\nb\tc\"", 5},       // in the run after an escape
+      {"{\"k\":\"xy\nz\"}", 8},  // inside an object member
+  };
+  for (const auto& [text, offset] : cases) {
+    const JsonParsed parsed = parse_json(text);
+    EXPECT_FALSE(parsed.ok) << text;
+    EXPECT_EQ(parsed.offset, offset) << text;
+    EXPECT_NE(parsed.error.find("control character"), std::string::npos)
+        << parsed.error;
+  }
+  const JsonParsed open = parse_json("\"abc");
+  EXPECT_EQ(open.error, "unterminated string");
+  EXPECT_EQ(open.offset, 4u);
 }
 
 TEST(ServeJson, RejectsMalformedInput) {
@@ -94,6 +133,52 @@ TEST(ServeJson, EncodersRoundTrip) {
   EXPECT_EQ(json_number(nan), "null");
   const std::string encoded = json_number(0.1 + 0.2);
   EXPECT_DOUBLE_EQ(parse_json(encoded).value.number, 0.1 + 0.2);
+}
+
+// json_number must keep the bytes printf's "%.17g" gave, which stays here
+// as the oracle.
+std::string printf_number(double value) {
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%.17g", value);
+  return buf;
+}
+
+TEST(ServeJson, NumberMatchesPrintfOracle) {
+  using limits = std::numeric_limits<double>;
+  std::vector<double> inputs = {
+      0.0, -0.0, 0.5, 0.1 + 0.2, 1e16, 1e21, -1e21, 1e22, 9007199254740993.0,
+      limits::max(), -limits::max(), limits::min(), limits::denorm_min(),
+      -limits::denorm_min(), 2.2250738585072009e-308, 1e-5, 1e-4, 1e17};
+  for (int i = -2000; i <= 2000; ++i) {
+    inputs.push_back(i);
+  }
+  for (int e = -324; e <= 308; ++e) {
+    inputs.push_back(std::pow(10.0, e));
+  }
+  for (int e = -1074; e <= 1023; ++e) {
+    inputs.push_back(std::ldexp(1.0, e));
+  }
+  std::mt19937_64 rng(2014);
+  for (std::size_t finite = 0; finite < 100000;) {
+    const double x = std::bit_cast<double>(rng());
+    if (std::isfinite(x)) {
+      inputs.push_back(x);
+      ++finite;
+    }
+  }
+  std::size_t mismatches = 0;
+  for (const double x : inputs) {
+    const std::string expected = printf_number(x);
+    const std::string got = json_number(x);
+    if (got != expected && ++mismatches <= 5) {
+      ADD_FAILURE() << "bits " << std::bit_cast<std::uint64_t>(x) << ": "
+                    << got << " != " << expected;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << inputs.size() << " inputs";
+  EXPECT_EQ(json_number(limits::infinity()), "null");
+  EXPECT_EQ(json_number(-limits::infinity()), "null");
+  EXPECT_EQ(json_number(limits::quiet_NaN()), "null");
 }
 
 // ---- wire protocol --------------------------------------------------------
@@ -144,6 +229,30 @@ TEST(ServeProtocol, HashRoundTrip) {
   EXPECT_FALSE(parse_hash_hex("0x11111111111111111").has_value());
 }
 
+TEST(ServeProtocol, HashHexMatchesPrintfOracle) {
+  std::vector<std::uint64_t> inputs = {0, 1, 0xf, 0x10, UINT64_MAX,
+                                       0x8000000000000000ULL};
+  for (int bit = 0; bit < 64; ++bit) {
+    inputs.push_back(std::uint64_t{1} << bit);
+    inputs.push_back((std::uint64_t{1} << bit) - 1);
+  }
+  std::mt19937_64 rng(2014);
+  for (int i = 0; i < 100000; ++i) {
+    // Vary the leading zeros too: shift a random word by 0..63 bits.
+    inputs.push_back(rng() >> (rng() % 64));
+  }
+  std::size_t mismatches = 0;
+  for (const std::uint64_t hash : inputs) {
+    char expected[19];
+    std::snprintf(expected, sizeof expected, "0x%016llx",
+                  static_cast<unsigned long long>(hash));
+    if (hash_hex(hash) != expected && ++mismatches <= 5) {
+      ADD_FAILURE() << hash_hex(hash) << " != " << expected;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << inputs.size() << " inputs";
+}
+
 TEST(ServeProtocol, ErrorResponseShape) {
   const std::string plain = error_response("7", wire::kBadRequest, "nope");
   EXPECT_EQ(plain,
@@ -165,12 +274,17 @@ std::shared_ptr<CompiledEntry> make_entry(const std::string& source,
   return entry;
 }
 
+std::shared_ptr<const CompiledEntry> find(CompiledModelCache& cache,
+                                          std::string_view source) {
+  return cache.find_source(source, fnv1a64(source));
+}
+
 TEST(ServeCache, HitMissAndCounters) {
   CompiledModelCache cache(4);
-  EXPECT_EQ(cache.find_source("s1"), nullptr);
+  EXPECT_EQ(find(cache, "s1"), nullptr);
   EXPECT_EQ(cache.misses(), 1u);
   cache.insert(make_entry("s1", 0x11));
-  const auto hit = cache.find_source("s1");
+  const auto hit = find(cache, "s1");
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->canonical_hash, 0x11u);
   EXPECT_EQ(cache.hits(), 1u);
@@ -184,13 +298,13 @@ TEST(ServeCache, LruEvictionIsBoundedAndCounted) {
   CompiledModelCache cache(2);
   cache.insert(make_entry("a", 1));
   cache.insert(make_entry("b", 2));
-  ASSERT_NE(cache.find_source("a"), nullptr);  // refresh: b is now LRU
-  cache.insert(make_entry("c", 3));            // evicts b
+  ASSERT_NE(find(cache, "a"), nullptr);  // refresh: b is now LRU
+  cache.insert(make_entry("c", 3));      // evicts b
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_EQ(cache.find_source("b"), nullptr);
-  EXPECT_NE(cache.find_source("a"), nullptr);
-  EXPECT_NE(cache.find_source("c"), nullptr);
+  EXPECT_EQ(find(cache, "b"), nullptr);
+  EXPECT_NE(find(cache, "a"), nullptr);
+  EXPECT_NE(find(cache, "c"), nullptr);
   EXPECT_EQ(cache.find_hash(2), nullptr);  // hash index follows eviction
 }
 
@@ -207,7 +321,7 @@ TEST(ServeCache, CapacityZeroDisablesCaching) {
   CompiledModelCache cache(0);
   const auto entry = make_entry("s", 1);
   EXPECT_EQ(cache.insert(entry), entry);
-  EXPECT_EQ(cache.find_source("s"), nullptr);
+  EXPECT_EQ(find(cache, "s"), nullptr);
   EXPECT_EQ(cache.size(), 0u);
 }
 
@@ -265,6 +379,39 @@ TEST(ServeEngine, EvalMissThenHitIsBitIdentical) {
   const JsonValue& r1 = hit.value.find("results")->array.at(0);
   EXPECT_EQ(r0.find("total")->number, r1.find("total")->number);
   EXPECT_EQ(engine.cache().hits(), 1u);
+}
+
+/// The `results` member of an eval response, which is its last member.
+std::string results_bytes(const std::string& response) {
+  const std::size_t at = response.find("\"results\":");
+  return at == std::string::npos ? std::string() : response.substr(at);
+}
+
+TEST(ServeEngine, EscapedSourceHitRepeatsMissResultsBytes) {
+  // The frame spells its source with every JSON escape kind, including a
+  // \u surrogate pair between plain runs. The decoded bytes are the cache
+  // key, so a respelling of the same bytes hits as well.
+  const std::string frame =
+      R"({"id":1,"op":"eval","source":"// tab\there, form\ffeed, bs\bhere,)"
+      R"( cr\r\n// quote \" backslash \\ slash \/ emoji \ud83d\ude00 e\u0301\n)"
+      R"(model \"m\" {\n  time 0.5;\n)"
+      R"(  data A { elements 64; element_size 8; }\n)"
+      R"(  pattern A stream { stride 1; repeat 4; }\n}\n"})";
+  const std::string name = R"(\"m\")";
+  std::string respelled = frame;
+  respelled.replace(respelled.find(name), name.size(), R"(\u0022m\u0022)");
+
+  Engine engine;
+  const std::string miss = engine.handle_line(frame);
+  const std::string hit = engine.handle_line(frame);
+  const std::string respelled_hit = engine.handle_line(respelled);
+  ASSERT_NE(miss.find("\"cache\":\"miss\""), std::string::npos) << miss;
+  ASSERT_NE(hit.find("\"cache\":\"hit\""), std::string::npos) << hit;
+  ASSERT_NE(respelled_hit.find("\"cache\":\"hit\""), std::string::npos)
+      << respelled_hit;
+  ASSERT_FALSE(results_bytes(miss).empty()) << miss;
+  EXPECT_EQ(results_bytes(hit), results_bytes(miss));
+  EXPECT_EQ(results_bytes(respelled_hit), results_bytes(miss));
 }
 
 // The acceptance criterion: a cache hit provably skips lex/parse/analyze —
@@ -467,6 +614,73 @@ TEST(ServeChaos, ConcurrentStormYieldsTypedResponsesOnly) {
             kThreads * kPerThread);
   EXPECT_EQ(engine.in_flight(), 0u);
   EXPECT_LE(engine.cache().size(), 4u);  // bounded memory
+}
+
+std::uint64_t counter_value(std::string_view name) {
+  for (const auto& [counter, value] : dvf::obs::snapshot_metrics().counters) {
+    if (counter == name) {
+      return value;
+    }
+  }
+  return 0;
+}
+
+// Hit storm: two clients send the same two sources to one Engine with obs
+// on, so nearly every request takes the hit path concurrently: the static
+// metric handles, and the calculator's serial path (a 1-structure model)
+// and its parallel path (a model at the fan-out threshold). Every response
+// repeats the results bytes of a serial reference, and the counters add up.
+TEST(ServeChaos, ConcurrentHitStormRepeatsResultsBytes) {
+  std::string wide = "model \"wide\" {\n  time 0.25;\n";
+  for (std::size_t i = 0; i < dvf::DvfCalculator::kParallelStructureThreshold;
+       ++i) {
+    const std::string name = "S" + std::to_string(i);
+    wide += "  data " + name + " { elements " + std::to_string(64 * (i + 1)) +
+            "; element_size 8; }\n  pattern " + name +
+            " stream { stride 1; }\n";
+  }
+  wide += "}\n";
+  const std::vector<std::string> frames = {eval_frame("1", kModelSource),
+                                           eval_frame("2", wide)};
+  std::vector<std::string> expected;
+  {
+    Engine reference;
+    for (const std::string& frame : frames) {
+      expected.push_back(results_bytes(reference.handle_line(frame)));
+      ASSERT_FALSE(expected.back().empty());
+    }
+  }
+
+  dvf::obs::reset();
+  dvf::obs::set_enabled(true);
+  Engine engine;
+  constexpr unsigned kClients = 2;
+  constexpr unsigned kPerClient = 200;
+  std::atomic<unsigned> wrong{0};
+  std::vector<std::thread> clients;
+  for (unsigned c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (unsigned i = 0; i < kPerClient; ++i) {
+        const std::size_t pick = (c + i) % frames.size();
+        if (results_bytes(engine.handle_line(frames[pick])) != expected[pick]) {
+          wrong.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& client : clients) {
+    client.join();
+  }
+  dvf::obs::set_enabled(false);
+
+  constexpr std::uint64_t kTotal = kClients * kPerClient;
+  EXPECT_EQ(wrong.load(), 0u);
+  const std::uint64_t hits = counter_value("serve.cache.hit");
+  EXPECT_EQ(hits + counter_value("serve.cache.miss"), kTotal);
+  EXPECT_GE(hits, kTotal - kClients * frames.size());
+  EXPECT_EQ(hits, engine.cache().hits());
+  EXPECT_EQ(counter_value("serve.eval.ok"), kTotal);
+  dvf::obs::reset();
 }
 
 // cancel_in_flight stops a long evaluation from another thread.

@@ -25,7 +25,6 @@
 #include <charconv>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -59,6 +58,7 @@
 #include "dvf/patterns/estimate.hpp"
 #include "dvf/machine/cache_config.hpp"
 #include "dvf/report/table.hpp"
+#include "dvf/serve/protocol.hpp"
 #include "dvf/serve/server.hpp"
 #include "dvf/serve/signal_guard.hpp"
 #include "dvf/trace/trace_io.hpp"
@@ -565,13 +565,6 @@ std::string json_interval(const dvf::analysis::Interval& iv) {
          ",\"exact\":" + (iv.is_point() ? "true" : "false") + "}";
 }
 
-std::string hash_hex(std::uint64_t hash) {
-  char text[19] = {};
-  std::snprintf(text, sizeof text, "0x%016llx",
-                static_cast<unsigned long long>(hash));
-  return text;
-}
-
 // Human-readable interval: a point prints as "= x", an unbounded interval
 // as "[lo, inf)".
 std::string show_interval(const dvf::analysis::Interval& iv) {
@@ -592,7 +585,8 @@ std::string analyze_json_object(const std::string& file,
   out << "{\"file\":\"" << dvf::dsl::json_escape(file) << "\"";
   if (result.report.has_value()) {
     const dvf::analysis::AnalysisReport& report = *result.report;
-    out << ",\"canonical_hash\":\"" << hash_hex(report.canonical_hash) << "\"";
+    out << ",\"canonical_hash\":\""
+        << dvf::serve::hash_hex(report.canonical_hash) << "\"";
     out << ",\"machines\":[";
     for (std::size_t i = 0; i < report.machines.size(); ++i) {
       out << (i == 0 ? "" : ",") << "\""
@@ -660,7 +654,8 @@ void print_analysis_report(const dvf::analysis::AnalysisReport& report) {
       std::cout << "\n";
     }
   }
-  std::cout << "canonical hash: " << hash_hex(report.canonical_hash) << "\n";
+  std::cout << "canonical hash: "
+            << dvf::serve::hash_hex(report.canonical_hash) << "\n";
 }
 
 int cmd_analyze(const Args& args) {
