@@ -27,6 +27,7 @@
 #include "dvf/dsl/analysis.hpp"
 #include "dvf/dsl/analyzer.hpp"
 #include "dvf/dsl/diagnostics.hpp"
+#include "dvf/dsl/lint.hpp"
 #include "dvf/dsl/parser.hpp"
 #include "dvf/dsl/printer.hpp"
 #include "dvf/dsl/template_expander.hpp"
@@ -931,6 +932,43 @@ void check_analysis_soundness(const dsl::CompiledProgram& program,
   }
 }
 
+/// lint() shares analyze_models' front end and only adds findings: it must
+/// not throw, and every error analyze_models reports (code and span) must be
+/// among lint's diagnostics.
+void check_lint_keeps_errors(const std::string& source,
+                             const dsl::SemanticAnalysis& analyzed,
+                             const std::string& label, FuzzReport& report,
+                             const FuzzOptions& options) {
+  dsl::LintResult linted;
+  try {
+    linted = dsl::lint(source);
+  } catch (const std::exception& err) {
+    record(report, options, label + ": lint threw: " + std::string(err.what()));
+    return;
+  } catch (...) {
+    record(report, options, label + ": lint threw a non-exception");
+    return;
+  }
+  for (const dsl::Diagnostic& error : analyzed.diagnostics) {
+    if (error.severity != dsl::Severity::kError) {
+      continue;
+    }
+    const bool kept = std::any_of(
+        linted.diagnostics.begin(), linted.diagnostics.end(),
+        [&](const dsl::Diagnostic& d) {
+          return d.code == error.code && d.span.line == error.span.line &&
+                 d.span.column == error.span.column &&
+                 d.span.length == error.span.length;
+        });
+    if (!kept) {
+      record(report, options,
+             label + ": lint drops " + error.code + " at " +
+                 std::to_string(error.span.line) + ":" +
+                 std::to_string(error.span.column));
+    }
+  }
+}
+
 void check_analyze_case(const std::string& source, const std::string& label,
                         FuzzReport& report, const FuzzOptions& options) {
   dsl::SemanticAnalysis first;
@@ -944,6 +982,7 @@ void check_analyze_case(const std::string& source, const std::string& label,
     record(report, options, label + ": analyze_models threw a non-exception");
     return;
   }
+  check_lint_keeps_errors(source, first, label, report, options);
   if (!first.report.has_value()) {
     return;  // unparseable: rejected through diagnostics, nothing to bound
   }

@@ -29,7 +29,9 @@
 //               sources: must never throw on any parseable model, never
 //               report NaN/invalid interval bounds, hash deterministically
 //               (across re-runs and thread counts), and every interval must
-//               contain the value the evaluator actually computes.
+//               contain the value the evaluator actually computes. Lint
+//               runs on the same source and must neither throw nor drop an
+//               error analyze_models reports.
 //
 //   chaos     — randomized-but-seeded environment-fault schedules (the
 //               failpoint subsystem: journal writes, thread spawn, serve
@@ -99,8 +101,10 @@ struct FuzzReport {
 /// every reported interval must be valid (finite non-negative lower bound,
 /// no NaN, lo <= hi), the canonical hash must be identical across re-runs
 /// and thread counts, and whenever the evaluator succeeds on a (structure,
-/// machine) its value must lie inside the reported interval. Corpus seeds
-/// are *.aspen files in the corpus directory.
+/// machine) its value must lie inside the reported interval. lint() on the
+/// same source must not throw and must report every error analyze_models
+/// does (same code and span). Corpus seeds are *.aspen files in the corpus
+/// directory.
 [[nodiscard]] FuzzReport fuzz_analyze(const FuzzOptions& options);
 
 /// Environment-fault chaos: deterministic failpoint schedules (derived from

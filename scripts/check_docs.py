@@ -19,11 +19,19 @@ Three passes:
    that does not exist: a new doc nobody indexed, or a stale entry for a
    deleted one, fails the build.
 
+4. **Diagnostic catalog** — the ``DVF-[EWNA]ddd`` codes defined in
+   ``src/dsl/include/dvf/dsl/diagnostics.hpp`` must equal the codes in
+   the catalog tables of ``docs/dsl.md`` and ``docs/analysis.md``, and
+   every E/W/N code must have a golden case
+   ``tests/lint_cases/<code>_*.aspen`` (``<code>`` lowercase, e.g.
+   ``e012``).
+
 Usage:
     scripts/check_docs.py [--dvfc PATH_TO_DVFC] [FILES...]
 
 With no FILES, checks every .md file known to git. Exits nonzero on any
-broken link or undocumented flag, listing file:line for each.
+broken link, undocumented flag, doc-index or catalog mismatch, listing
+file:line for each.
 """
 
 import argparse
@@ -138,6 +146,37 @@ def check_readme_doc_index(root: pathlib.Path) -> list[str]:
     return errors
 
 
+CODE_DEF_RE = re.compile(r'"(DVF-[EWNA]\d{3})"')
+CATALOG_ROW_RE = re.compile(r"^\|\s*`(DVF-[EWNA]\d{3})`\s*\|")
+
+
+def check_diagnostic_catalog(root: pathlib.Path) -> list[str]:
+    """Pass 4: diagnostics.hpp codes vs the doc catalogs and golden cases."""
+    header = root / "src/dsl/include/dvf/dsl/diagnostics.hpp"
+    defined = set(CODE_DEF_RE.findall(header.read_text(encoding="utf-8")))
+    documented: set[str] = set()
+    for doc in ("docs/dsl.md", "docs/analysis.md"):
+        for line in (root / doc).read_text(encoding="utf-8").splitlines():
+            match = CATALOG_ROW_RE.match(line)
+            if match:
+                documented.add(match.group(1))
+    errors = []
+    for code in sorted(defined - documented):
+        errors.append(f"{header.relative_to(root)}: {code} is missing from "
+                      f"the catalog tables of docs/dsl.md and "
+                      f"docs/analysis.md")
+    for code in sorted(documented - defined):
+        errors.append(f"docs: catalog lists {code}, which "
+                      f"{header.relative_to(root)} does not define")
+    cases = root / "tests/lint_cases"
+    for code in sorted(defined):
+        stem = code.removeprefix("DVF-").lower()
+        if stem[0] != "a" and not any(cases.glob(f"{stem}_*.aspen")):
+            errors.append(f"tests/lint_cases: no golden case {stem}_*.aspen "
+                          f"for {code}")
+    return errors
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--dvfc", type=pathlib.Path, default=None,
@@ -159,10 +198,11 @@ def main() -> int:
     for path in files:
         errors.extend(check_file(path, root, known_flags))
     errors.extend(check_readme_doc_index(root))
+    errors.extend(check_diagnostic_catalog(root))
     for error in errors:
         print(error, file=sys.stderr)
     checked = ("links+flags" if known_flags is not None else "links") + \
-        "+doc-index"
+        "+doc-index+catalog"
     print(f"check_docs: {len(files)} file(s), {checked}: "
           f"{'FAIL' if errors else 'OK'} ({len(errors)} error(s))")
     return 1 if errors else 0

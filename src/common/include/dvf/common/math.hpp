@@ -9,8 +9,6 @@
 #include <span>
 #include <vector>
 
-#include "dvf/common/result.hpp"
-
 namespace dvf::math {
 
 /// ln C(n, k); returns -infinity when the coefficient is zero
@@ -63,11 +61,6 @@ class KahanSum {
 /// overflow error instead.
 inline constexpr std::int64_t kMaxCombinatoricPopulation = std::int64_t{1}
                                                            << 48;
-
-/// Kahan sum that classifies non-finite inputs (non_finite error naming the
-/// offending index) and overflow of the accumulated total, instead of
-/// silently propagating NaN the way stable_sum must for hot paths.
-[[nodiscard]] Result<double> checked_sum(std::span<const double> xs);
 
 /// Integer ceiling division for non-negative operands. Written without the
 /// (a + b - 1) intermediate so it cannot wrap for any a, b.

@@ -94,19 +94,6 @@ double stable_sum(std::span<const double> xs) {
   return s.value();
 }
 
-Result<double> checked_sum(std::span<const double> xs) {
-  KahanSum s;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    if (!std::isfinite(xs[i])) {
-      return EvalError{ErrorKind::kNonFinite,
-                       "summand " + std::to_string(i) + " is " +
-                           (std::isnan(xs[i]) ? "NaN" : "infinite")};
-    }
-    s.add(xs[i]);
-  }
-  return finite_or_error(s.value(), "checked_sum total");
-}
-
 double wilson_half_width(std::uint64_t successes, std::uint64_t n, double z) {
   if (n == 0) {
     return 1.0;

@@ -1,10 +1,6 @@
 #include "dvf/dsl/analysis.hpp"
 
-#include <fstream>
-#include <sstream>
-
-#include "dvf/common/error.hpp"
-#include "dvf/dsl/parser.hpp"
+#include <utility>
 
 namespace dvf::dsl {
 
@@ -130,28 +126,12 @@ SemanticAnalysis analyze_models(std::string_view source,
   result.source.assign(source);
 
   DiagnosticEngine diags;
-  Program ast;
-  bool parsed = true;
-  try {
-    ast = parse(source);
-  } catch (const ParseError& err) {
-    const std::string prefix = "parse error at " + std::to_string(err.line()) +
-                               ":" + std::to_string(err.column()) + ": ";
-    std::string message = err.what();
-    if (message.rfind(prefix, 0) == 0) {
-      message = message.substr(prefix.size());
-    }
-    const char* code = err.code() != nullptr ? err.code() : codes::kSyntax;
-    diags.error(code, {err.line(), err.column(), err.length()},
-                std::move(message));
-    parsed = false;
-  }
-
-  if (parsed) {
-    result.program = analyze(ast, diags);
+  FrontEnd front = parse_and_analyze(source, diags);
+  result.program = std::move(front.program);
+  if (front.ast) {
     result.report = analysis::analyze(result.program.machines,
                                       result.program.models, options);
-    report_verdicts(ast, result, diags);
+    report_verdicts(*front.ast, result, diags);
   }
 
   result.diagnostics = diags.sorted();
@@ -162,13 +142,7 @@ SemanticAnalysis analyze_models(std::string_view source,
 
 SemanticAnalysis analyze_models_file(const std::string& path,
                                      const analysis::AnalysisOptions& options) {
-  std::ifstream in(path);
-  if (!in) {
-    throw Error("cannot open model file: " + path);
-  }
-  std::ostringstream contents;
-  contents << in.rdbuf();
-  return analyze_models(contents.str(), options);
+  return analyze_models(read_model_file(path), options);
 }
 
 }  // namespace dvf::dsl

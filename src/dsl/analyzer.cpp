@@ -827,11 +827,6 @@ double evaluate(const Expr& expr, const std::map<std::string, double>& env) {
                       first->span.line, first->span.column);
 }
 
-std::optional<double> try_evaluate(
-    const Expr& expr, const std::map<std::string, double>& env) noexcept {
-  return eval_expr(expr, env, nullptr, nullptr);
-}
-
 const Machine& CompiledProgram::machine(std::string_view name) const {
   for (const Machine& m : machines) {
     if (m.name == name) {
@@ -875,13 +870,43 @@ CompiledProgram compile(std::string_view source) {
 }
 
 CompiledProgram compile_file(const std::string& path) {
+  return compile(read_model_file(path));
+}
+
+FrontEnd parse_and_analyze(std::string_view source, DiagnosticEngine& diags) {
+  FrontEnd out;
+  try {
+    out.ast = parse(source);
+  } catch (const ParseError& err) {
+    // Strip the "parse error at L:C: " prefix; the span carries the
+    // location already.
+    const std::string prefix = "parse error at " +
+                               std::to_string(err.line()) + ":" +
+                               std::to_string(err.column()) + ": ";
+    std::string message = err.what();
+    if (message.rfind(prefix, 0) == 0) {
+      message = message.substr(prefix.size());
+    }
+    // Lexer errors that map to a specific catalog entry (e.g. DVF-E018
+    // numeric overflow) carry their code and span width; generic syntax
+    // errors fall back to kSyntax with a one-character span.
+    const char* code = err.code() != nullptr ? err.code() : codes::kSyntax;
+    diags.error(code, {err.line(), err.column(), err.length()},
+                std::move(message));
+    return out;
+  }
+  out.program = analyze(*out.ast, diags);
+  return out;
+}
+
+std::string read_model_file(const std::string& path) {
   std::ifstream in(path);
   if (!in) {
     throw Error("cannot open model file: " + path);
   }
   std::ostringstream contents;
   contents << in.rdbuf();
-  return compile(contents.str());
+  return contents.str();
 }
 
 }  // namespace dvf::dsl

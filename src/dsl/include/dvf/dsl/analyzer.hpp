@@ -14,10 +14,11 @@
 
 namespace dvf::dsl {
 
-/// Maps one pattern declaration back to the spec phases it lowered to, so
-/// consumers of analysis facts (lint, dvfc analyze) can point diagnostics at
-/// the declaration's source span. `phase_count` can be 0 (e.g. a stream
-/// with `repeat 0` emits no phases) or > 1 (template expansion).
+/// Maps one pattern declaration back to the spec phases it lowered to: lint's
+/// pattern rules read their values through it, and they and `dvfc analyze`
+/// point diagnostics at the declaration's source span. `phase_count` can be
+/// 0 (e.g. a stream with `repeat 0` emits no phases) or > 1 (template
+/// expansion).
 struct PatternProvenance {
   std::string model;      ///< lowered ModelSpec name
   std::string structure;  ///< target DataStructureSpec name
@@ -47,12 +48,6 @@ struct CompiledProgram {
 [[nodiscard]] double evaluate(const Expr& expr,
                               const std::map<std::string, double>& env);
 
-/// Non-throwing evaluation: nullopt on unknown identifier / division by
-/// zero, with no diagnostic reported. Used by lint rules to probe values
-/// whose errors the analyzer already reported.
-[[nodiscard]] std::optional<double> try_evaluate(
-    const Expr& expr, const std::map<std::string, double>& env) noexcept;
-
 /// Multi-error analysis: reports every problem into `diags` and returns the
 /// declarations that lowered cleanly (a declaration with an error-severity
 /// diagnostic is skipped, the rest of the program still lowers). Never
@@ -70,5 +65,21 @@ struct CompiledProgram {
 
 /// Reads and compiles a model file. Throws Error when unreadable.
 [[nodiscard]] CompiledProgram compile_file(const std::string& path);
+
+/// The multi-error front end shared by lint() and analyze_models().
+struct FrontEnd {
+  std::optional<Program> ast;  ///< nullopt when the source did not parse
+  CompiledProgram program;     ///< the cleanly lowered declarations
+};
+
+/// Parses `source` and lowers it with analyze(program, diags). A parse error
+/// becomes one diagnostic, without the "parse error at L:C: " prefix its
+/// message carries (the span holds the location), and nothing is lowered.
+[[nodiscard]] FrontEnd parse_and_analyze(std::string_view source,
+                                         DiagnosticEngine& diags);
+
+/// The text of a model file. Throws Error("cannot open model file: PATH")
+/// when unreadable.
+[[nodiscard]] std::string read_model_file(const std::string& path);
 
 }  // namespace dvf::dsl

@@ -9,6 +9,12 @@
 // (Eqs. 8-15), unit sanity for FIT/size/time, and hygiene (unused
 // declarations, zero-work patterns). A program can compile yet still carry
 // warnings — lint is the stricter tool.
+//
+// The model and pattern rules read every value from the lowered program
+// (the typed specs `analyze` produced); the AST supplies only source spans
+// and whether a key was given. A model with a lowering error therefore
+// reports its front-end errors and the program hygiene rules (W101, W103,
+// W111) only.
 #pragma once
 
 #include <span>

@@ -1,20 +1,18 @@
 #include "dvf/dsl/lint.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
-#include <fstream>
 #include <functional>
 #include <map>
 #include <optional>
 #include <set>
 #include <sstream>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "dvf/analysis/bounds.hpp"
-#include "dvf/common/error.hpp"
 #include "dvf/dsl/analysis.hpp"
-#include "dvf/dsl/parser.hpp"
 #include "dvf/obs/obs.hpp"
 
 namespace dvf::dsl {
@@ -47,31 +45,74 @@ std::string bytes_str(double bytes) {
   return out.str();
 }
 
-/// What the rules know about one declared data structure.
-struct DataInfo {
-  const DataDecl* decl = nullptr;
-  std::optional<std::uint64_t> elements;
-  std::optional<std::uint64_t> element_bytes;
-  int pattern_count = 0;
+/// First occurrence of a property key, or nullptr.
+const KeyValue* find(const std::vector<KeyValue>& kvs, std::string_view key) {
+  for (const KeyValue& kv : kvs) {
+    if (kv.key == key) {
+      return &kv;
+    }
+  }
+  return nullptr;
+}
+
+/// The tuple the analyzer lowered (the last one with this key), or nullptr.
+const KeyTuple* find_tuple(const PatternDecl& pattern, std::string_view key) {
+  const KeyTuple* found = nullptr;
+  for (const KeyTuple& tuple : pattern.tuples) {
+    if (tuple.key == key) {
+      found = &tuple;
+    }
+  }
+  return found;
+}
+
+/// A declaration of a lowered model, with the model it lowered to.
+struct LoweredModel {
+  const ModelDecl& decl;
+  const ModelSpec& spec;
+};
+
+/// A pattern declaration of a lowered model: its source (for spans and for
+/// which keys were given) and what it lowered to (for every value).
+struct LoweredPattern {
+  const PatternDecl& decl;
+  const PatternProvenance& row;
+  const DataStructureSpec& structure;
+  const PatternSpec* phase;  ///< first lowered phase; nullptr when none
+
+  /// The lowered spec when the declaration lowered to a `Spec`, else nullptr.
+  template <typename Spec>
+  [[nodiscard]] const Spec* spec() const {
+    return std::get_if<Spec>(phase);
+  }
+
+  [[nodiscard]] SourceSpan span() const {
+    return {decl.line, decl.column, 7};
+  }
+
+  /// Span of a property key, or the declaration when the key is absent.
+  [[nodiscard]] SourceSpan prop_span(std::string_view key) const {
+    const KeyValue* kv = find(decl.properties, key);
+    return kv == nullptr ? span() : key_span(*kv);
+  }
 };
 
 struct LintContext {
+  LintContext(const Program& ast_in, const CompiledProgram& program_in,
+              DiagnosticEngine& diags_in,
+              const analysis::AnalysisReport& report_in);
+
   const Program& ast;
   const CompiledProgram& program;
   DiagnosticEngine& diags;
-  /// Bounds and verdicts over the compiled program; the dataflow-fact rules
-  /// (W102/W107/W109/N202) consult it instead of re-deriving locally.
+  /// Bounds and verdicts over the compiled program (W102's deadness fact).
   const analysis::AnalysisReport& report;
-  /// Per model declaration: data name -> info. Values the analyzer already
-  /// rejected stay nullopt and the rules skip them quietly.
-  std::map<const ModelDecl*, std::map<std::string, DataInfo>> data;
+  /// The model and pattern rules see only what lowered: a model with a
+  /// lowering error gets its front-end errors and the hygiene rules.
+  std::vector<LoweredModel> models;
+  std::vector<LoweredPattern> patterns;  ///< in provenance order
 
-  [[nodiscard]] std::optional<double> eval(const Expr& expr) const {
-    return try_evaluate(expr, program.params);
-  }
-
-  /// Bounds of a compiled structure, or nullptr when the model did not
-  /// lower (AST-only fallbacks apply then).
+  /// Bounds of a compiled structure, or nullptr.
   [[nodiscard]] const analysis::StructureBounds* bounds_of(
       const std::string& model, const std::string& data_name) const {
     const analysis::ModelBounds* bounds = report.find_model(model);
@@ -85,100 +126,49 @@ struct LintContext {
     }
     return nullptr;
   }
-
-  /// Lowering provenance of one pattern declaration, or nullptr when its
-  /// model did not compile.
-  [[nodiscard]] const PatternProvenance* provenance_for(
-      const std::string& model, const PatternDecl& pattern) const {
-    for (const PatternProvenance& row : program.provenance) {
-      if (row.model == model && row.line == pattern.line &&
-          row.column == pattern.column) {
-        return &row;
-      }
-    }
-    return nullptr;
-  }
-
-  /// First lowered phase of a declaration, or nullptr.
-  [[nodiscard]] const PatternSpec* lowered_phase(
-      const PatternProvenance& row) const {
-    for (const ModelSpec& model : program.models) {
-      if (model.name != row.model) {
-        continue;
-      }
-      const DataStructureSpec* target = model.find(row.structure);
-      if (target != nullptr && row.phase_count > 0 &&
-          row.first_phase < target->patterns.size()) {
-        return &target->patterns[row.first_phase];
-      }
-      return nullptr;
-    }
-    return nullptr;
-  }
-
-  /// First occurrence of a property key, or nullptr.
-  [[nodiscard]] static const KeyValue* find(const std::vector<KeyValue>& kvs,
-                                            std::string_view key) {
-    for (const KeyValue& kv : kvs) {
-      if (kv.key == key) {
-        return &kv;
-      }
-    }
-    return nullptr;
-  }
-
-  /// Property value: the default when absent, nullopt when unevaluable.
-  [[nodiscard]] std::optional<double> prop(const std::vector<KeyValue>& kvs,
-                                           std::string_view key,
-                                           double fallback) const {
-    const KeyValue* kv = find(kvs, key);
-    return kv == nullptr ? std::optional<double>(fallback) : eval(*kv->value);
-  }
-
-  /// Like prop() but coerced to a count; nullopt when absent-by-default is
-  /// impossible (negative / fractional values the analyzer already flagged).
-  [[nodiscard]] std::optional<std::uint64_t> count_prop(
-      const std::vector<KeyValue>& kvs, std::string_view key,
-      double fallback) const {
-    const auto v = prop(kvs, key, fallback);
-    if (!v || *v < 0.0 || *v != std::floor(*v) || *v > 9.0e15) {
-      return std::nullopt;
-    }
-    return static_cast<std::uint64_t>(*v);
-  }
-
-  /// Span of a property key, or the pattern/data declaration when absent.
-  [[nodiscard]] static SourceSpan prop_span(const std::vector<KeyValue>& kvs,
-                                            std::string_view key,
-                                            SourceSpan fallback) {
-    const KeyValue* kv = find(kvs, key);
-    return kv == nullptr ? fallback : key_span(*kv);
-  }
 };
 
-void collect_data_info(LintContext& ctx) {
-  for (const ModelDecl& model : ctx.ast.models) {
-    auto& table = ctx.data[&model];
-    for (const DataDecl& data : model.data) {
-      DataInfo info;
-      info.decl = &data;
-      info.element_bytes =
-          ctx.count_prop(data.properties, "element_size", 8.0);
-      if (LintContext::find(data.properties, "elements") != nullptr) {
-        info.elements = ctx.count_prop(data.properties, "elements", 0.0);
-      } else if (LintContext::find(data.properties, "size") != nullptr) {
-        const auto size = ctx.count_prop(data.properties, "size", 0.0);
-        if (size && info.element_bytes && *info.element_bytes != 0 &&
-            *size % *info.element_bytes == 0) {
-          info.elements = *size / *info.element_bytes;
-        }
-      }
-      table.emplace(data.name, info);
-    }
+LintContext::LintContext(const Program& ast_in,
+                         const CompiledProgram& program_in,
+                         DiagnosticEngine& diags_in,
+                         const analysis::AnalysisReport& report_in)
+    : ast(ast_in), program(program_in), diags(diags_in), report(report_in) {
+  // Pattern keywords sit at distinct source positions, so a provenance row's
+  // position names its declaration exactly.
+  std::map<std::pair<int, int>, const PatternDecl*> at;
+  for (const ModelDecl& model : ast.models) {
     for (const PatternDecl& pattern : model.patterns) {
-      const auto it = table.find(pattern.target);
-      if (it != table.end()) {
-        ++it->second.pattern_count;
+      at.emplace(std::make_pair(pattern.line, pattern.column), &pattern);
+    }
+  }
+  for (const PatternProvenance& row : program.provenance) {
+    const DataStructureSpec* structure =
+        program.model(row.model).find(row.structure);
+    const auto decl = at.find({row.line, row.column});
+    if (structure == nullptr || decl == at.end()) {
+      continue;  // defensive: lowering records only what it lowered
+    }
+    const PatternSpec* phase =
+        row.phase_count > 0 && row.first_phase < structure->patterns.size()
+            ? &structure->patterns[row.first_phase]
+            : nullptr;
+    patterns.push_back({*decl->second, row, *structure, phase});
+  }
+  // A model's declaration is the first of its name whose every pattern
+  // lowered (those of a failed declaration have no provenance row).
+  std::set<const PatternDecl*> lowered;
+  for (const LoweredPattern& p : patterns) {
+    lowered.insert(&p.decl);
+  }
+  for (const ModelSpec& spec : program.models) {
+    for (const ModelDecl& decl : ast.models) {
+      if (decl.name == spec.name &&
+          std::all_of(decl.patterns.begin(), decl.patterns.end(),
+                      [&](const PatternDecl& pattern) {
+                        return lowered.count(&pattern) != 0;
+                      })) {
+        models.push_back({decl, spec});
+        break;
       }
     }
   }
@@ -234,24 +224,25 @@ void rule_unused_param(LintContext& ctx) {
 }
 
 void rule_data_never_accessed(LintContext& ctx) {
-  for (const ModelDecl& model : ctx.ast.models) {
-    for (const auto& [name, info] : ctx.data[&model]) {
-      // The analysis' deadness verdict (zero lowered phases) is the ground
-      // truth for compiled models; pattern_count keeps uncompiled models
-      // covered. A structure whose declarations all lower to zero phases is
-      // dead too, but that is DVF-A302's finding, not W102's.
+  for (const LoweredModel& model : ctx.models) {
+    for (const DataDecl& data : model.decl.data) {
+      // A structure whose declarations all lower to zero phases is dead
+      // too, but that is DVF-A302's finding, not W102's.
       const analysis::StructureBounds* bounds =
-          ctx.bounds_of(model.name, name);
-      const bool dead = bounds != nullptr ? bounds->dead
-                                          : info.pattern_count == 0;
-      if (dead && info.pattern_count == 0) {
+          ctx.bounds_of(model.spec.name, data.name);
+      const bool has_pattern = std::any_of(
+          ctx.patterns.begin(), ctx.patterns.end(),
+          [&](const LoweredPattern& p) {
+            return p.row.model == model.spec.name &&
+                   p.row.structure == data.name;
+          });
+      if (bounds != nullptr && bounds->dead && !has_pattern) {
         ctx.diags.warning(
-            codes::kDataNeverAccessed,
-            {info.decl->line, info.decl->column, 4},
-            "data '" + name + "' in model '" + model.name +
+            codes::kDataNeverAccessed, {data.line, data.column, 4},
+            "data '" + data.name + "' in model '" + model.spec.name +
                 "' has no access pattern; it contributes footprint S_d but "
                 "zero N_ha",
-            "attach a 'pattern " + name +
+            "attach a 'pattern " + data.name +
                 " <stream|random|template|reuse|tiled> { ... }' or drop it");
       }
     }
@@ -284,495 +275,267 @@ void rule_empty_model(LintContext& ctx) {
 // ---- model-sanity rules --------------------------------------------------
 
 void rule_streaming_geometry(LintContext& ctx) {
-  for (const ModelDecl& model : ctx.ast.models) {
-    for (const PatternDecl& pattern : model.patterns) {
-      if (pattern.kind != "stream") {
-        continue;
-      }
-      const auto it = ctx.data[&model].find(pattern.target);
-      if (it == ctx.data[&model].end()) {
-        continue;
-      }
-      const DataInfo& info = it->second;
-      const SourceSpan fallback{pattern.line, pattern.column, 7};
-      const auto stride =
-          ctx.count_prop(pattern.properties, "stride", 1.0);
-      if (!stride || !info.element_bytes) {
-        continue;
-      }
-      if (info.elements && *info.elements > 1 && *stride >= *info.elements) {
+  for (const LoweredPattern& p : ctx.patterns) {
+    const auto* s = p.spec<StreamingSpec>();
+    if (s == nullptr) {
+      continue;  // not a stream, or `repeat 0` (no phase to check)
+    }
+    const SourceSpan span = p.prop_span("stride");
+    if (s->element_count > 1 && s->stride_elements >= s->element_count) {
+      ctx.diags.warning(
+          codes::kStrideExceedsExtent, span,
+          "stream over '" + p.decl.target + "' strides " +
+              std::to_string(s->stride_elements) +
+              " elements but the structure has only " +
+              std::to_string(s->element_count) +
+              "; only the first element is ever touched",
+          "stride is measured in elements, not bytes");
+    }
+    for (const Machine& machine : ctx.program.machines) {
+      const std::uint32_t line = machine.llc.line_bytes();
+      if (s->element_bytes > line) {
         ctx.diags.warning(
-            codes::kStrideExceedsExtent,
-            LintContext::prop_span(pattern.properties, "stride", fallback),
-            "stream over '" + pattern.target + "' strides " +
-                std::to_string(*stride) + " elements but the structure has "
-                "only " + std::to_string(*info.elements) +
-                "; only the first element is ever touched",
-            "stride is measured in elements, not bytes");
-      }
-      const std::uint64_t stride_bytes = *stride * *info.element_bytes;
-      for (const Machine& machine : ctx.program.machines) {
-        const std::uint32_t line = machine.llc.line_bytes();
-        if (*info.element_bytes > line) {
-          ctx.diags.warning(
-              codes::kElementSpansLines,
-              LintContext::prop_span(pattern.properties, "stride", fallback),
-              "element size " + std::to_string(*info.element_bytes) +
-                  " of '" + pattern.target + "' exceeds machine '" +
-                  machine.name + "' cache line (" + std::to_string(line) +
-                  " bytes); Eqs. 3-4 assume an element fits in one line");
-        } else if (stride_bytes > line) {
-          ctx.diags.warning(
-              codes::kStrideSkipsLines,
-              LintContext::prop_span(pattern.properties, "stride", fallback),
-              "stream stride of " + std::to_string(stride_bytes) +
-                  " bytes skips whole cache lines on machine '" +
-                  machine.name + "' (line = " + std::to_string(line) +
-                  " bytes); every reference misses and Eqs. 3-4 lose all "
-                  "spatial reuse");
-        }
+            codes::kElementSpansLines, span,
+            "element size " + std::to_string(s->element_bytes) + " of '" +
+                p.decl.target + "' exceeds machine '" + machine.name +
+                "' cache line (" + std::to_string(line) +
+                " bytes); Eqs. 3-4 assume an element fits in one line");
+      } else if (s->stride_bytes() > line) {
+        ctx.diags.warning(
+            codes::kStrideSkipsLines, span,
+            "stream stride of " + std::to_string(s->stride_bytes()) +
+                " bytes skips whole cache lines on machine '" +
+                machine.name + "' (line = " + std::to_string(line) +
+                " bytes); every reference misses and Eqs. 3-4 lose all "
+                "spatial reuse");
       }
     }
   }
 }
 
 void rule_random_feasibility(LintContext& ctx) {
-  for (const ModelDecl& model : ctx.ast.models) {
-    for (const PatternDecl& pattern : model.patterns) {
-      if (pattern.kind != "random") {
-        continue;
-      }
-      const auto it = ctx.data[&model].find(pattern.target);
-      if (it == ctx.data[&model].end()) {
-        continue;
-      }
-      const DataInfo& info = it->second;
-      const SourceSpan fallback{pattern.line, pattern.column, 7};
-      const KeyValue* visits_kv =
-          LintContext::find(pattern.properties, "visits");
-      const auto visits = visits_kv ? ctx.eval(*visits_kv->value)
-                                    : std::optional<double>();
-      if (visits && info.elements &&
-          *visits > static_cast<double>(*info.elements)) {
-        ctx.diags.error(
-            codes::kRandomInfeasible, key_span(*visits_kv),
-            "random pattern visits " + num_str(*visits) +
-                " distinct elements per iteration but '" + pattern.target +
-                "' declares only " + std::to_string(*info.elements),
-            "Eqs. 5-7 sample k of N elements without replacement: k <= N");
-      }
-      const auto ratio = ctx.prop(pattern.properties, "ratio", 1.0);
-      if (!ratio || !info.element_bytes || *ratio <= 0.0 || *ratio > 1.0) {
-        continue;  // out-of-range ratio is reported by cache-share-range
-      }
-      for (const Machine& machine : ctx.program.machines) {
-        const double share =
-            *ratio * static_cast<double>(machine.llc.capacity_bytes());
-        if (share < static_cast<double>(*info.element_bytes)) {
-          ctx.diags.warning(
-              codes::kCacheShareBelowElement,
-              LintContext::prop_span(pattern.properties, "ratio", fallback),
-              "the cache share of '" + pattern.target + "' on machine '" +
-                  machine.name + "' (r*C = " + bytes_str(share) +
-                  ") holds no complete element; Eq. 6's hit probability "
-                  "collapses to zero",
-              "raise 'ratio' or model a larger cache");
-        }
+  for (const LoweredPattern& p : ctx.patterns) {
+    const auto* r = p.spec<RandomSpec>();
+    if (r == nullptr) {
+      continue;
+    }
+    if (r->visits_per_iteration > static_cast<double>(r->element_count)) {
+      ctx.diags.error(
+          codes::kRandomInfeasible, p.prop_span("visits"),
+          "random pattern visits " + num_str(r->visits_per_iteration) +
+              " distinct elements per iteration but '" + p.decl.target +
+              "' declares only " + std::to_string(r->element_count),
+          "Eqs. 5-7 sample k of N elements without replacement: k <= N");
+    }
+    if (r->cache_ratio <= 0.0 || r->cache_ratio > 1.0) {
+      continue;  // out-of-range ratio is reported by cache-share-range
+    }
+    for (const Machine& machine : ctx.program.machines) {
+      const double share =
+          r->cache_ratio * static_cast<double>(machine.llc.capacity_bytes());
+      if (share < static_cast<double>(r->element_bytes)) {
+        ctx.diags.warning(
+            codes::kCacheShareBelowElement, p.prop_span("ratio"),
+            "the cache share of '" + p.decl.target + "' on machine '" +
+                machine.name + "' (r*C = " + bytes_str(share) +
+                ") holds no complete element; Eq. 6's hit probability "
+                "collapses to zero",
+            "raise 'ratio' or model a larger cache");
       }
     }
   }
 }
 
 void rule_cache_share_range(LintContext& ctx) {
-  for (const ModelDecl& model : ctx.ast.models) {
-    for (const PatternDecl& pattern : model.patterns) {
-      if (pattern.kind != "random" && pattern.kind != "template" &&
-          pattern.kind != "tiled") {
-        continue;
-      }
-      const KeyValue* ratio_kv =
-          LintContext::find(pattern.properties, "ratio");
-      if (ratio_kv == nullptr) {
-        continue;
-      }
-      const auto ratio = ctx.eval(*ratio_kv->value);
-      if (ratio && (*ratio <= 0.0 || *ratio > 1.0)) {
-        ctx.diags.error(codes::kValueOutOfRange, key_span(*ratio_kv),
-                        "cache-share ratio must be in (0, 1], got " +
-                            num_str(*ratio),
-                        "r is the structure's fraction of the LLC "
-                        "(size-proportional for concurrent structures)");
-      }
+  for (const LoweredPattern& p : ctx.patterns) {
+    const KeyValue* ratio_kv = find(p.decl.properties, "ratio");
+    if (ratio_kv == nullptr) {
+      continue;  // the default share, 1, is in range
+    }
+    std::optional<double> ratio;
+    if (const auto* r = p.spec<RandomSpec>()) {
+      ratio = r->cache_ratio;
+    } else if (const auto* t = p.spec<TemplateSpec>()) {
+      ratio = t->cache_ratio;
+    } else if (const auto* b = p.spec<TiledSpec>()) {
+      ratio = b->cache_ratio;
+    }
+    if (ratio && (*ratio <= 0.0 || *ratio > 1.0)) {
+      ctx.diags.error(codes::kValueOutOfRange, key_span(*ratio_kv),
+                      "cache-share ratio must be in (0, 1], got " +
+                          num_str(*ratio),
+                      "r is the structure's fraction of the LLC "
+                      "(size-proportional for concurrent structures)");
     }
   }
 }
 
 void rule_template_bounds(LintContext& ctx) {
-  for (const ModelDecl& model : ctx.ast.models) {
-    for (const PatternDecl& pattern : model.patterns) {
-      if (pattern.kind != "template") {
-        continue;
-      }
-      const auto it = ctx.data[&model].find(pattern.target);
-      if (it == ctx.data[&model].end()) {
-        continue;
-      }
-      const DataInfo& info = it->second;
-      const SourceSpan fallback{pattern.line, pattern.column, 7};
+  for (const LoweredPattern& p : ctx.patterns) {
+    const auto* t = p.spec<TemplateSpec>();
+    const KeyTuple* start = find_tuple(p.decl, "start");
+    if (t == nullptr || start == nullptr || t->element_indices.empty()) {
+      continue;
+    }
+    const std::uint64_t elements = p.structure.size_bytes / t->element_bytes;
+    const std::uint64_t max_index = *std::max_element(
+        t->element_indices.begin(), t->element_indices.end());
+    if (max_index >= elements) {
+      ctx.diags.error(
+          codes::kTemplateOutOfBounds, tuple_span(*start),
+          "template reaches element " + std::to_string(max_index) + " but '" +
+              p.decl.target + "' declares only " + std::to_string(elements) +
+              " elements",
+          "shrink 'count'/'end' or grow the data declaration");
+    }
 
-      const KeyTuple* start_tuple = nullptr;
-      const KeyTuple* end_tuple = nullptr;
-      for (const KeyTuple& tuple : pattern.tuples) {
-        if (tuple.key == "start") start_tuple = &tuple;
-        if (tuple.key == "end") end_tuple = &tuple;
-      }
-      if (start_tuple == nullptr) {
-        continue;  // analyzer already reported E007
-      }
-      std::vector<std::int64_t> start;
-      for (const ExprPtr& e : start_tuple->values) {
-        if (const auto v = ctx.eval(*e)) {
-          start.push_back(static_cast<std::int64_t>(std::llround(*v)));
-        }
-      }
-      if (start.size() != start_tuple->values.size() || start.empty()) {
-        continue;
-      }
-      const auto step_value = ctx.prop(pattern.properties, "step", 1.0);
-      if (!step_value) {
-        continue;
-      }
-      const auto step =
-          static_cast<std::int64_t>(std::llround(*step_value));
-
-      std::optional<std::uint64_t> count;
-      if (LintContext::find(pattern.properties, "count") != nullptr) {
-        count = ctx.count_prop(pattern.properties, "count", 0.0);
-      } else if (end_tuple != nullptr && !end_tuple->values.empty() &&
-                 step != 0) {
-        if (const auto end_value = ctx.eval(*end_tuple->values[0])) {
-          const auto end0 =
-              static_cast<std::int64_t>(std::llround(*end_value));
-          const std::int64_t span = end0 - start[0];
-          if (span % step == 0 && span / step >= 0) {
-            count = static_cast<std::uint64_t>(span / step) + 1;
-          }
-        }
-      }
-      if (!count || *count == 0) {
-        continue;
-      }
-
-      const std::int64_t lo = *std::min_element(start.begin(), start.end());
-      const std::int64_t hi = *std::max_element(start.begin(), start.end());
-      const std::int64_t advance =
-          step * static_cast<std::int64_t>(*count - 1);
-      const std::int64_t max_index = step > 0 ? hi + advance : hi;
-      const std::int64_t min_index = step > 0 ? lo : lo + advance;
-
-      if (info.elements &&
-          max_index >= static_cast<std::int64_t>(*info.elements)) {
-        ctx.diags.error(
-            codes::kTemplateOutOfBounds, tuple_span(*start_tuple),
-            "template reaches element " + std::to_string(max_index) +
-                " but '" + pattern.target + "' declares only " +
-                std::to_string(*info.elements) + " elements",
-            "shrink 'count'/'end' or grow the data declaration");
-      }
-
-      // Reuse distance vs. capacity: repeated sweeps can only hit when the
-      // whole template working set fits the structure's cache share.
-      const auto repeat = ctx.count_prop(pattern.properties, "repeat", 1.0);
-      if (!repeat || *repeat < 2) {
-        continue;
-      }
-      const SourceSpan note_span =
-          LintContext::prop_span(pattern.properties, "repeat", fallback);
-      const PatternProvenance* row = ctx.provenance_for(model.name, pattern);
-      const PatternSpec* phase =
-          row != nullptr ? ctx.lowered_phase(*row) : nullptr;
-      if (phase != nullptr && std::holds_alternative<TemplateSpec>(*phase)) {
-        // Compiled models: the analysis counts the distinct cache lines the
-        // reference string touches and compares against the share in block
-        // units — the exact quantity the reuse-distance argument is about.
-        if (std::get<TemplateSpec>(*phase).repetitions < 2) {
-          continue;
-        }
-        for (const Machine& machine : ctx.program.machines) {
-          const analysis::PatternFacts facts =
-              analysis::pattern_bounds(*phase, machine.llc, false);
-          if (facts.exceeds_share) {
-            ctx.diags.note(
-                codes::kTemplateExceedsShare, note_span,
-                "the template working set over '" + pattern.target + "' (" +
-                    std::to_string(facts.working_set_blocks) +
-                    " cache lines) exceeds its cache share on machine '" +
-                    machine.name + "' (" +
-                    std::to_string(facts.capacity_blocks) +
-                    " lines); repeated sweeps mostly miss (reuse distance "
-                    "beyond capacity)");
-          }
-        }
-        continue;
-      }
-      // AST fallback for models that did not lower.
-      const auto ratio = ctx.prop(pattern.properties, "ratio", 1.0);
-      if (!ratio || !info.element_bytes || *ratio <= 0.0 || *ratio > 1.0 ||
-          min_index < 0) {
-        continue;
-      }
-      const double footprint =
-          static_cast<double>(max_index - min_index + 1) *
-          static_cast<double>(*info.element_bytes);
-      for (const Machine& machine : ctx.program.machines) {
-        const double share =
-            *ratio * static_cast<double>(machine.llc.capacity_bytes());
-        if (footprint > share) {
-          ctx.diags.note(
-              codes::kTemplateExceedsShare, note_span,
-              "the template working set over '" + pattern.target + "' (" +
-                  bytes_str(footprint) + ") exceeds its cache share on "
-                  "machine '" + machine.name + "' (" + bytes_str(share) +
-                  "); repeated sweeps mostly miss (reuse distance beyond "
-                  "capacity)");
-        }
+    // Reuse distance vs. capacity: repeated sweeps can only hit when the
+    // whole template working set fits the structure's cache share. The
+    // analysis counts the distinct cache lines the reference string touches
+    // and compares them against the share in block units.
+    if (t->repetitions < 2) {
+      continue;
+    }
+    for (const Machine& machine : ctx.program.machines) {
+      const analysis::PatternFacts facts =
+          analysis::pattern_bounds(*p.phase, machine.llc, false);
+      if (facts.exceeds_share) {
+        ctx.diags.note(
+            codes::kTemplateExceedsShare, p.prop_span("repeat"),
+            "the template working set over '" + p.decl.target + "' (" +
+                std::to_string(facts.working_set_blocks) +
+                " cache lines) exceeds its cache share on machine '" +
+                machine.name + "' (" + std::to_string(facts.capacity_blocks) +
+                " lines); repeated sweeps mostly miss (reuse distance beyond "
+                "capacity)");
       }
     }
   }
 }
 
 void rule_reuse_footprint(LintContext& ctx) {
-  for (const ModelDecl& model : ctx.ast.models) {
-    for (const PatternDecl& pattern : model.patterns) {
-      if (pattern.kind != "reuse") {
-        continue;
+  for (const LoweredPattern& p : ctx.patterns) {
+    const auto* u = p.spec<ReuseSpec>();
+    if (u == nullptr) {
+      continue;
+    }
+    for (const Machine& machine : ctx.program.machines) {
+      if (analysis::pattern_bounds(*p.phase, machine.llc, false)
+              .exceeds_share) {
+        ctx.diags.warning(
+            codes::kReuseOverflowsCache, p.span(),
+            "'" + p.decl.target + "' alone (" +
+                bytes_str(static_cast<double>(u->self_bytes)) +
+                ") overflows machine '" + machine.name + "' (" +
+                bytes_str(static_cast<double>(machine.llc.capacity_bytes())) +
+                "); Eq. 8's occupancy saturates and every reuse round misses",
+            "a streaming pattern models this traversal more faithfully");
       }
-      const auto it = ctx.data[&model].find(pattern.target);
-      if (it == ctx.data[&model].end()) {
-        continue;
-      }
-      const DataInfo& info = it->second;
-      const SourceSpan fallback{pattern.line, pattern.column, 7};
-      // Compiled models: the analysis' exceeds-share fact (footprint blocks
-      // vs cache blocks) decides; the AST footprint remains the fallback
-      // for models that did not lower, and supplies the message numbers.
-      const PatternProvenance* row = ctx.provenance_for(model.name, pattern);
-      const PatternSpec* phase =
-          row != nullptr ? ctx.lowered_phase(*row) : nullptr;
-      if (phase != nullptr && !std::holds_alternative<ReuseSpec>(*phase)) {
-        phase = nullptr;
-      }
-      if (info.elements && info.element_bytes) {
-        const double self = static_cast<double>(*info.elements) *
-                            static_cast<double>(*info.element_bytes);
-        for (const Machine& machine : ctx.program.machines) {
-          const auto capacity =
-              static_cast<double>(machine.llc.capacity_bytes());
-          const bool overflows =
-              phase != nullptr
-                  ? analysis::pattern_bounds(*phase, machine.llc, false)
-                        .exceeds_share
-                  : self > capacity;
-          if (overflows) {
-            ctx.diags.warning(
-                codes::kReuseOverflowsCache, fallback,
-                "'" + pattern.target + "' alone (" + bytes_str(self) +
-                    ") overflows machine '" + machine.name + "' (" +
-                    bytes_str(capacity) + "); Eq. 8's occupancy saturates "
-                    "and every reuse round misses",
-                "a streaming pattern models this traversal more faithfully");
-          }
-        }
-      }
-      const KeyValue* other_kv =
-          LintContext::find(pattern.properties, "other_bytes");
-      if (other_kv != nullptr) {
-        const auto other = ctx.eval(*other_kv->value);
-        if (other && *other == 0.0) {
-          ctx.diags.note(
-              codes::kReuseNoInterference, key_span(*other_kv),
-              "reuse over '" + pattern.target + "' declares zero interferer "
-              "bytes: every reuse round hits and N_ha is just the initial "
-              "load (Eqs. 9-15 degenerate)");
-        }
-      }
+    }
+    const KeyValue* other_kv = find(p.decl.properties, "other_bytes");
+    if (other_kv != nullptr && u->other_bytes == 0) {
+      ctx.diags.note(
+          codes::kReuseNoInterference, key_span(*other_kv),
+          "reuse over '" + p.decl.target + "' declares zero interferer "
+          "bytes: every reuse round hits and N_ha is just the initial "
+          "load (Eqs. 9-15 degenerate)");
     }
   }
 }
 
 void rule_tiled_geometry(LintContext& ctx) {
-  for (const ModelDecl& model : ctx.ast.models) {
-    for (const PatternDecl& pattern : model.patterns) {
-      if (pattern.kind != "tiled") {
-        continue;
-      }
-      const auto it = ctx.data[&model].find(pattern.target);
-      if (it == ctx.data[&model].end()) {
-        continue;
-      }
-      const DataInfo& info = it->second;
-      const SourceSpan fallback{pattern.line, pattern.column, 7};
+  for (const LoweredPattern& p : ctx.patterns) {
+    const auto* b = p.spec<TiledSpec>();
+    const KeyTuple* tile = find_tuple(p.decl, "tile");
+    if (b == nullptr || tile == nullptr) {
+      continue;
+    }
 
-      const KeyTuple* tile_tuple = nullptr;
-      for (const KeyTuple& tuple : pattern.tuples) {
-        if (tuple.key == "tile") tile_tuple = &tuple;
-      }
-      std::optional<std::uint64_t> tile_rows;
-      std::optional<std::uint64_t> tile_cols;
-      if (tile_tuple != nullptr && tile_tuple->values.size() == 2) {
-        const auto tr = ctx.eval(*tile_tuple->values[0]);
-        const auto tc = ctx.eval(*tile_tuple->values[1]);
-        if (tr && *tr >= 1.0 && *tr == std::floor(*tr) && *tr <= 9.0e15) {
-          tile_rows = static_cast<std::uint64_t>(*tr);
-        }
-        if (tc && *tc >= 1.0 && *tc == std::floor(*tc) && *tc <= 9.0e15) {
-          tile_cols = static_cast<std::uint64_t>(*tc);
-        }
-      }
+    // W112: a tile wider or taller than the matrix is vacuous blocking —
+    // the evaluator clamps to the matrix edge, so the declared geometry
+    // buys nothing.
+    if (b->tile_rows > b->rows || b->tile_cols > b->cols) {
+      ctx.diags.warning(
+          codes::kTileExceedsFootprint, tuple_span(*tile),
+          "tile (" + std::to_string(b->tile_rows) + ", " +
+              std::to_string(b->tile_cols) + ") over '" + p.decl.target +
+              "' exceeds the " + std::to_string(b->rows) + " x " +
+              std::to_string(b->cols) +
+              " matrix; the tiling degenerates to a whole-matrix sweep",
+          "shrink the tile to at most the matrix dimensions");
+    }
 
-      const auto rows = ctx.count_prop(pattern.properties, "rows", 0.0);
-      std::optional<std::uint64_t> cols;
-      if (LintContext::find(pattern.properties, "cols") != nullptr) {
-        cols = ctx.count_prop(pattern.properties, "cols", 0.0);
-      } else if (rows && *rows > 0 && info.elements &&
-                 *info.elements % *rows == 0) {
-        cols = *info.elements / *rows;
-      }
+    // W113: a tile never re-read (one pass, no intra-tile reuse) gets no
+    // benefit from blocking; the streaming model says the same thing with
+    // fewer parameters.
+    if (b->intra_reuse == 0 && b->passes == 1) {
+      ctx.diags.warning(
+          codes::kTileNoReuse, p.span(),
+          "tiled pattern on '" + p.decl.target +
+              "' has no reuse (passes 1, intra_reuse 0): a single cold "
+              "sweep that a stream pattern models with fewer parameters",
+          "add 'passes'/'intra_reuse', or use 'pattern " + p.decl.target +
+              " stream { ... }'");
+    }
 
-      // W112: a tile wider or taller than the matrix is vacuous blocking —
-      // the evaluator clamps to the matrix edge, so the declared geometry
-      // buys nothing.
-      if (tile_tuple != nullptr && tile_rows && tile_cols && rows && cols &&
-          *rows > 0 && *cols > 0 &&
-          (*tile_rows > *rows || *tile_cols > *cols)) {
-        ctx.diags.warning(
-            codes::kTileExceedsFootprint, tuple_span(*tile_tuple),
-            "tile (" + std::to_string(*tile_rows) + ", " +
-                std::to_string(*tile_cols) + ") over '" + pattern.target +
-                "' exceeds the " + std::to_string(*rows) + " x " +
-                std::to_string(*cols) +
-                " matrix; the tiling degenerates to a whole-matrix sweep",
-            "shrink the tile to at most the matrix dimensions");
-      }
-
-      // W113: a tile never re-read (one pass, no intra-tile reuse) gets no
-      // benefit from blocking; the streaming model says the same thing with
-      // fewer parameters.
-      const auto intra =
-          ctx.count_prop(pattern.properties, "intra_reuse", 0.0);
-      const auto passes = ctx.count_prop(pattern.properties, "passes", 1.0);
-      if (intra && passes && *intra == 0 && *passes == 1) {
-        ctx.diags.warning(
-            codes::kTileNoReuse, fallback,
-            "tiled pattern on '" + pattern.target +
-                "' has no reuse (passes 1, intra_reuse 0): a single cold "
-                "sweep that a stream pattern models with fewer parameters",
-            "add 'passes'/'intra_reuse', or use 'pattern " + pattern.target +
-                " stream { ... }'");
-      }
-
-      // N203: the tile itself overflows the structure's cache share — the
-      // blocking is mis-sized for the machine and every intra-tile re-read
-      // misses. The analysis' exceeds-share fact decides for compiled
-      // models; the AST footprint is the fallback.
-      const PatternProvenance* row = ctx.provenance_for(model.name, pattern);
-      const PatternSpec* phase =
-          row != nullptr ? ctx.lowered_phase(*row) : nullptr;
-      if (phase != nullptr && !std::holds_alternative<TiledSpec>(*phase)) {
-        phase = nullptr;
-      }
-      const SourceSpan note_span =
-          tile_tuple != nullptr ? tuple_span(*tile_tuple) : fallback;
-      const auto ratio = ctx.prop(pattern.properties, "ratio", 1.0);
-      for (const Machine& machine : ctx.program.machines) {
-        bool overflows = false;
-        std::uint64_t ws_blocks = 0;
-        std::uint64_t cap_blocks = 0;
-        if (phase != nullptr) {
-          const analysis::PatternFacts facts =
-              analysis::pattern_bounds(*phase, machine.llc, false);
-          overflows = facts.exceeds_share;
-          ws_blocks = facts.working_set_blocks;
-          cap_blocks = facts.capacity_blocks;
-        } else if (tile_rows && tile_cols && info.element_bytes && ratio &&
-                   *ratio > 0.0 && *ratio <= 1.0) {
-          const double tile_bytes = static_cast<double>(*tile_rows) *
-                                    static_cast<double>(*tile_cols) *
-                                    static_cast<double>(*info.element_bytes);
-          const double share =
-              *ratio * static_cast<double>(machine.llc.capacity_bytes());
-          overflows = tile_bytes > share;
-          ws_blocks = static_cast<std::uint64_t>(
-              std::ceil(tile_bytes / machine.llc.line_bytes()));
-          cap_blocks = static_cast<std::uint64_t>(
-              static_cast<double>(machine.llc.total_blocks()) * *ratio);
-        }
-        if (overflows) {
-          ctx.diags.note(
-              codes::kTileExceedsShare, note_span,
-              "one tile of '" + pattern.target + "' (" +
-                  std::to_string(ws_blocks) +
-                  " cache lines) exceeds its cache share on machine '" +
-                  machine.name + "' (" + std::to_string(cap_blocks) +
-                  " lines); every intra-tile re-read misses",
-              "shrink the tile or raise 'ratio'");
-        }
+    // N203: the tile itself overflows the structure's cache share — the
+    // blocking is mis-sized for the machine and every intra-tile re-read
+    // misses.
+    for (const Machine& machine : ctx.program.machines) {
+      const analysis::PatternFacts facts =
+          analysis::pattern_bounds(*p.phase, machine.llc, false);
+      if (facts.exceeds_share) {
+        ctx.diags.note(
+            codes::kTileExceedsShare, tuple_span(*tile),
+            "one tile of '" + p.decl.target + "' (" +
+                std::to_string(facts.working_set_blocks) +
+                " cache lines) exceeds its cache share on machine '" +
+                machine.name + "' (" + std::to_string(facts.capacity_blocks) +
+                " lines); every intra-tile re-read misses",
+            "shrink the tile or raise 'ratio'");
       }
     }
   }
 }
 
 void rule_zero_work(LintContext& ctx) {
-  const auto check = [&](const ModelDecl& model, const PatternDecl& pattern,
-                         const char* key, const char* meaning) {
-    const KeyValue* kv = LintContext::find(pattern.properties, key);
-    if (kv == nullptr) {
-      return;
+  for (const LoweredPattern& p : ctx.patterns) {
+    // Dataflow confirmation: the declaration must be provably zero-work
+    // (zero phases, or every phase requesting zero steady-state work).
+    if (!provably_zero_work(p.row, ctx.program)) {
+      continue;
     }
-    const auto v = ctx.eval(*kv->value);
-    if (!v || *v != 0.0) {
-      return;
-    }
-    // Dataflow confirmation: for compiled models the declaration must be
-    // provably zero-work (zero phases, or every phase requesting zero
-    // steady-state work). Uncompiled models keep the AST heuristic.
-    const PatternProvenance* row = ctx.provenance_for(model.name, pattern);
-    if (row != nullptr && !provably_zero_work(*row, ctx.program)) {
-      return;
-    }
-    ctx.diags.warning(codes::kZeroWorkPattern, key_span(*kv),
-                      "pattern " + pattern.kind + " on '" + pattern.target +
-                          "' has " + std::string(key) + " 0; " + meaning);
-  };
-  for (const ModelDecl& model : ctx.ast.models) {
-    for (const PatternDecl& pattern : model.patterns) {
-      if (pattern.kind == "stream") {
-        check(model, pattern, "repeat", "it emits no phases at all");
-      } else if (pattern.kind == "random") {
-        check(model, pattern, "iterations", "it performs no accesses");
-        check(model, pattern, "visits", "it performs no accesses");
-      } else if (pattern.kind == "template") {
-        check(model, pattern, "count", "the reference string is empty");
-        check(model, pattern, "repeat", "the template is never replayed");
-      } else if (pattern.kind == "reuse") {
-        check(model, pattern, "rounds", "nothing is ever re-read");
+    // Points at the key that made it so, when that key was given.
+    const auto report = [&](const char* key, bool zero, const char* meaning) {
+      const KeyValue* kv = find(p.decl.properties, key);
+      if (kv != nullptr && zero) {
+        ctx.diags.warning(codes::kZeroWorkPattern, key_span(*kv),
+                          "pattern " + p.decl.kind + " on '" + p.decl.target +
+                              "' has " + std::string(key) + " 0; " + meaning);
       }
+    };
+    if (p.decl.kind == "stream") {
+      report("repeat", p.row.phase_count == 0, "it emits no phases at all");
+    } else if (const auto* r = p.spec<RandomSpec>()) {
+      report("iterations", r->iterations == 0, "it performs no accesses");
+      report("visits", r->visits_per_iteration == 0.0,
+             "it performs no accesses");
+    } else if (const auto* t = p.spec<TemplateSpec>()) {
+      report("repeat", t->repetitions == 0, "the template is never replayed");
+    } else if (const auto* u = p.spec<ReuseSpec>()) {
+      report("rounds", u->reuse_rounds == 0, "nothing is ever re-read");
     }
   }
 }
 
 void rule_unit_sanity(LintContext& ctx) {
-  // Non-positive FIT rates are analyzer errors (DVF-E017); here only the
-  // subtler degeneracy is left: a zero execution time.
-  for (const ModelDecl& model : ctx.ast.models) {
-    if (!model.time) {
-      continue;
-    }
-    const auto t = ctx.eval(*model.time);
-    if (t && *t == 0.0) {
+  // Non-positive FIT rates and negative times are analyzer errors
+  // (DVF-E017); here only the subtler degeneracy is left: a zero time.
+  for (const LoweredModel& model : ctx.models) {
+    if (model.decl.time && model.spec.exec_time_seconds == 0.0) {
       ctx.diags.warning(codes::kTriviallyZeroDvf,
-                        {model.time->line, model.time->column, 1},
-                        "model '" + model.name +
+                        {model.decl.time->line, model.decl.time->column, 1},
+                        "model '" + model.spec.name +
                             "': execution time 0 makes N_error and DVF "
                             "trivially zero");
     }
@@ -820,39 +583,16 @@ LintResult lint(std::string_view source) {
   result.source.assign(source);
 
   DiagnosticEngine diags;
-  Program ast;
-  bool parsed = true;
-  try {
-    ast = parse(source);
-  } catch (const ParseError& err) {
-    // Strip the "parse error at L:C: " prefix; the span carries the
-    // location already.
-    const std::string prefix = "parse error at " +
-                               std::to_string(err.line()) + ":" +
-                               std::to_string(err.column()) + ": ";
-    std::string message = err.what();
-    if (message.rfind(prefix, 0) == 0) {
-      message = message.substr(prefix.size());
-    }
-    // Lexer errors that map to a specific catalog entry (e.g. DVF-E018
-    // numeric overflow) carry their code and span width; generic syntax
-    // errors fall back to kSyntax with a one-character span.
-    const char* code = err.code() != nullptr ? err.code() : codes::kSyntax;
-    diags.error(code, {err.line(), err.column(), err.length()},
-                std::move(message));
-    parsed = false;
-  }
-
-  if (parsed) {
-    result.program = analyze(ast, diags);
+  FrontEnd front = parse_and_analyze(source, diags);
+  result.program = std::move(front.program);
+  if (front.ast) {
     // Facts only, no exact-refinement runs: lint never evaluates a model,
     // it just reads the analysis' verdict bits.
     analysis::AnalysisOptions options;
     options.refine_exact = false;
     const analysis::AnalysisReport report = analysis::analyze(
         result.program.machines, result.program.models, options);
-    LintContext ctx{ast, result.program, diags, report, {}};
-    collect_data_info(ctx);
+    LintContext ctx(*front.ast, result.program, diags, report);
     const obs::ScopedSpan span("dsl.lint_rules");
     for (const LintRule& rule : kRules) {
       rule.run(ctx);
@@ -866,13 +606,7 @@ LintResult lint(std::string_view source) {
 }
 
 LintResult lint_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw Error("cannot open model file: " + path);
-  }
-  std::ostringstream contents;
-  contents << in.rdbuf();
-  return lint(contents.str());
+  return lint(read_model_file(path));
 }
 
 }  // namespace dvf::dsl

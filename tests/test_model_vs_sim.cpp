@@ -95,6 +95,12 @@ struct ReuseCase {
   std::uint64_t rounds;
 };
 
+// Named by its fields, like RandomCase, instead of gtest's byte dump.
+void PrintTo(const ReuseCase& c, std::ostream* os) {
+  *os << "self" << c.self_bytes << "B_other" << c.other_bytes << "B_"
+      << c.rounds << "rounds";
+}
+
 class ReuseVsSim : public ::testing::TestWithParam<ReuseCase> {};
 
 TEST_P(ReuseVsSim, WithinPaperBand) {
