@@ -17,9 +17,7 @@
 //   - hit_split:    what one cache hit of a vector-multiply source (two
 //     machines, three streamed structures) spends on each step, timed one
 //     step at a time: the whole hit, frame decode, source fingerprint, the
-//     estimators, number formatting, and one default thread-count
-//     resolution (the calculator resolves it only for models of at least
-//     kParallelStructureThreshold structures).
+//     estimators and number formatting.
 //
 // Writes BENCH_serve.json (schema-checked by scripts/check_bench_json.py).
 // Set DVF_BENCH_QUICK=1 for a smaller request count (CI smoke).
@@ -45,7 +43,6 @@
 #include "dvf/dvf/calculator.hpp"
 #include "dvf/kernels/kernel_common.hpp"
 #include "dvf/obs/obs.hpp"
-#include "dvf/parallel/thread_pool.hpp"
 #include "dvf/patterns/estimate.hpp"
 #include "dvf/report/table.hpp"
 #include "dvf/serve/cache.hpp"
@@ -304,7 +301,6 @@ struct HitSplit {
   double fingerprint_us = 0.0;
   double estimators_us = 0.0;
   double format_us = 0.0;
-  double thread_count_us = 0.0;  ///< one resolve_thread_count(0) call
 };
 
 HitSplit measure_hit_split(std::uint64_t inner) {
@@ -359,8 +355,6 @@ HitSplit measure_hit_split(std::uint64_t inner) {
       sink += dvf::serve::json_number(x).size();
     }
   });
-  split.thread_count_us = median_us(
-      inner, [&] { sink += dvf::parallel::resolve_thread_count(0); });
   if (sink == 0) {
     std::cerr << "serve_latency: hit split measured nothing\n";
   }
@@ -427,8 +421,6 @@ int main() {
   steps.add_row({"number formatting (" + std::to_string(split.numbers) +
                      " numbers)",
                  dvf::num(split.format_us, 2)});
-  steps.add_row({"one thread-count resolution",
-                 dvf::num(split.thread_count_us, 2)});
   std::cout << steps << "\n";
 
   dvf::bench::JsonRecords json;
@@ -460,8 +452,7 @@ int main() {
                .field("decode_us", split.decode_us)
                .field("fingerprint_us", split.fingerprint_us)
                .field("estimators_us", split.estimators_us)
-               .field("format_us", split.format_us)
-               .field("thread_count_us", split.thread_count_us));
+               .field("format_us", split.format_us));
   json.set_metrics(
       dvf::obs::render_metrics_json(dvf::obs::snapshot_metrics()));
   json.write("serve");

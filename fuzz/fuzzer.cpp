@@ -990,19 +990,11 @@ void check_analyze_case(const std::string& source, const std::string& label,
   check_report_intervals(bounds, label, report, options);
 
   try {
-    // Hash determinism: a re-run and a threaded run must agree bit-for-bit.
+    // Hash determinism: a re-run must agree bit-for-bit.
     const dsl::SemanticAnalysis second = dsl::analyze_models(source);
     if (!second.report.has_value() ||
         second.report->canonical_hash != bounds.canonical_hash) {
       record(report, options, label + ": canonical hash differs across runs");
-    }
-    analysis::AnalysisOptions threaded;
-    threaded.threads = 2;
-    const analysis::AnalysisReport parallel = analysis::analyze(
-        first.program.machines, first.program.models, threaded);
-    if (parallel.canonical_hash != bounds.canonical_hash) {
-      record(report, options,
-             label + ": canonical hash differs with --threads 2");
     }
   } catch (const std::exception& err) {
     record(report, options,

@@ -28,10 +28,10 @@
 //   analyze   — the semantic analysis (dvfc analyze) on random + mutated
 //               sources: must never throw on any parseable model, never
 //               report NaN/invalid interval bounds, hash deterministically
-//               (across re-runs and thread counts), and every interval must
-//               contain the value the evaluator actually computes. Lint
-//               runs on the same source and must neither throw nor drop an
-//               error analyze_models reports.
+//               across re-runs, and every interval must contain the value
+//               the evaluator actually computes. Lint runs on the same
+//               source and must neither throw nor drop an error
+//               analyze_models reports.
 //
 //   chaos     — randomized-but-seeded environment-fault schedules (the
 //               failpoint subsystem: journal writes, thread spawn, serve
@@ -99,9 +99,9 @@ struct FuzzReport {
 
 /// Semantic-analysis totality and soundness: analyze_models must not throw,
 /// every reported interval must be valid (finite non-negative lower bound,
-/// no NaN, lo <= hi), the canonical hash must be identical across re-runs
-/// and thread counts, and whenever the evaluator succeeds on a (structure,
-/// machine) its value must lie inside the reported interval. lint() on the
+/// no NaN, lo <= hi), the canonical hash must be identical across re-runs,
+/// and whenever the evaluator succeeds on a (structure, machine) its value
+/// must lie inside the reported interval. lint() on the
 /// same source must not throw and must report every error analyze_models
 /// does (same code and span). Corpus seeds are *.aspen files in the corpus
 /// directory.

@@ -19,8 +19,8 @@ Validates the shape documented in docs/analysis.md:
   - diagnostics carry the lint JSON shape (file/line/column/severity/code).
 
 With ``--same-hash`` the checker additionally asserts that all inputs
-report identical per-file hashes — CI feeds it two independent runs (one
-with ``--threads 1``, one with ``--threads 4``) to pin hash determinism.
+report identical per-file hashes — CI feeds it three independent runs to
+pin hash determinism.
 """
 
 import json

@@ -10,7 +10,6 @@
 #include "dvf/common/math.hpp"
 #include "dvf/common/units.hpp"
 #include "dvf/obs/obs.hpp"
-#include "dvf/parallel/parallel_for.hpp"
 #include "dvf/patterns/estimate.hpp"
 
 namespace dvf::analysis {
@@ -618,43 +617,21 @@ AnalysisReport analyze(std::span<const Machine> machines,
   }
   report.canonical_hash = canonical_hash(machines, models);
 
-  // Flatten the (model, structure) space for the deterministic fan-out:
-  // every task writes only its own slot, so results are identical for any
-  // thread count.
-  struct Task {
-    std::size_t model;
-    std::size_t structure;
-  };
-  std::vector<Task> tasks;
   report.models.reserve(models.size());
-  for (std::size_t i = 0; i < models.size(); ++i) {
+  std::size_t structures = 0;
+  for (const ModelSpec& model : models) {
     ModelBounds bounds;
-    bounds.name = models[i].name;
-    bounds.exec_time_seconds = models[i].exec_time_seconds;
-    bounds.structures.resize(models[i].structures.size());
+    bounds.name = model.name;
+    bounds.exec_time_seconds = model.exec_time_seconds;
+    bounds.structures.reserve(model.structures.size());
+    for (const DataStructureSpec& ds : model.structures) {
+      bounds.structures.push_back(structure_bounds(
+          ds, machines, model.exec_time_seconds, options.refine_exact));
+    }
+    structures += model.structures.size();
     report.models.push_back(std::move(bounds));
-    for (std::size_t s = 0; s < models[i].structures.size(); ++s) {
-      tasks.push_back({i, s});
-    }
   }
-  obs::counter("analysis.structures").add(tasks.size());
-
-  const auto run_task = [&](std::uint64_t t) {
-    const Task& task = tasks[static_cast<std::size_t>(t)];
-    const ModelSpec& model = models[task.model];
-    report.models[task.model].structures[task.structure] = structure_bounds(
-        model.structures[task.structure], machines, model.exec_time_seconds,
-        options.refine_exact);
-  };
-  constexpr std::size_t kParallelThreshold = 16;
-  if (options.threads != 1 && tasks.size() >= kParallelThreshold) {
-    parallel::ThreadPool pool(options.threads);
-    parallel::parallel_for(pool, tasks.size(), run_task);
-  } else {
-    for (std::uint64_t t = 0; t < tasks.size(); ++t) {
-      run_task(t);
-    }
-  }
+  obs::counter("analysis.structures").add(structures);
 
   // Model totals: interval Eq. 2 per machine, mirroring the evaluator's
   // structure-order Kahan sum.

@@ -108,9 +108,6 @@ struct ModelBounds {
 };
 
 struct AnalysisOptions {
-  /// Worker threads for the per-structure fan-out (0 = DVF_THREADS env or
-  /// hardware, 1 = serial). Results are identical for every setting.
-  unsigned threads = 1;
   /// Run cheap closed forms for point intervals (see pattern_bounds).
   bool refine_exact = true;
 };

@@ -562,6 +562,21 @@ class Analyzer {
     return false;
   }
 
+  /// Records `tuple` as the first of its key, or reports DVF-E005 on a
+  /// repeat; as for scalar properties, the first one stays in effect.
+  bool claim_tuple(const KeyTuple*& first, const KeyTuple& tuple,
+                   const std::string& context) {
+    if (first == nullptr) {
+      first = &tuple;
+      return true;
+    }
+    diags_.error(codes::kDuplicateProperty, tuple_span(tuple),
+                 context + ": duplicate tuple '" + tuple.key + "'",
+                 "first given at " + std::to_string(first->line) + ":" +
+                     std::to_string(first->column));
+    return false;
+  }
+
   bool lower_template(const PatternDecl& pattern, Properties& props,
                       const std::string& context, SourceSpan decl_span,
                       DataStructureSpec* target, std::uint32_t esize) {
@@ -571,7 +586,9 @@ class Analyzer {
     bool tuples_ok = true;
     for (const KeyTuple& tuple : pattern.tuples) {
       if (tuple.key == "start") {
-        start_tuple = &tuple;
+        if (!claim_tuple(start_tuple, tuple, context)) {
+          continue;
+        }
         for (const ExprPtr& e : tuple.values) {
           const auto v = eval(*e);
           if (!v) {
@@ -584,7 +601,7 @@ class Analyzer {
       } else if (tuple.key == "end") {
         // Validated against count below; the end tuple documents the
         // boundary (paper's MG template) but count drives expansion.
-        end_tuple = &tuple;
+        claim_tuple(end_tuple, tuple, context);
       } else {
         diags_.error(codes::kUnknownProperty, tuple_span(tuple),
                      context + ": unknown tuple '" + tuple.key + "'",
@@ -664,7 +681,7 @@ class Analyzer {
     bool tuples_ok = true;
     for (const KeyTuple& tuple : pattern.tuples) {
       if (tuple.key == "tile") {
-        tile_tuple = &tuple;
+        claim_tuple(tile_tuple, tuple, context);
       } else {
         diags_.error(codes::kUnknownProperty, tuple_span(tuple),
                      context + ": unknown tuple '" + tuple.key + "'",
@@ -810,22 +827,6 @@ void Properties::reject_unknown() {
 }
 
 }  // namespace
-
-double evaluate(const Expr& expr, const std::map<std::string, double>& env) {
-  DiagnosticEngine diags;
-  const auto value = eval_expr(expr, env, nullptr, &diags);
-  if (value) {
-    return *value;
-  }
-  const Diagnostic* first = diags.first_error();
-  if (first == nullptr) {
-    throw SemanticError("malformed expression node");
-  }
-  throw SemanticError(first->message + " at " +
-                          std::to_string(first->span.line) + ":" +
-                          std::to_string(first->span.column),
-                      first->span.line, first->span.column);
-}
 
 const Machine& CompiledProgram::machine(std::string_view name) const {
   for (const Machine& m : machines) {

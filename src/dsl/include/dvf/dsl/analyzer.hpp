@@ -42,12 +42,6 @@ struct CompiledProgram {
   [[nodiscard]] const ModelSpec& model(std::string_view name) const;
 };
 
-/// Evaluates an expression against a parameter environment. Exposed for the
-/// expression-evaluator tests. Throws SemanticError on unknown identifiers
-/// or division by zero.
-[[nodiscard]] double evaluate(const Expr& expr,
-                              const std::map<std::string, double>& env);
-
 /// Multi-error analysis: reports every problem into `diags` and returns the
 /// declarations that lowered cleanly (a declaration with an error-severity
 /// diagnostic is skipped, the rest of the program still lowers). Never

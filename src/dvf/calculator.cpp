@@ -1,17 +1,14 @@
 #include "dvf/dvf/calculator.hpp"
 
-#include <atomic>
 #include <cmath>
 #include <iterator>
 #include <new>
-#include <optional>
 #include <utility>
 
 #include "dvf/common/error.hpp"
 #include "dvf/common/math.hpp"
 #include "dvf/common/units.hpp"
 #include "dvf/obs/obs.hpp"
-#include "dvf/parallel/parallel_for.hpp"
 #include "dvf/patterns/estimate.hpp"
 
 namespace dvf {
@@ -126,57 +123,16 @@ Result<ApplicationDvf> DvfCalculator::try_for_model(
   app.model_name = model.name;
   app.machine_name = machine_.name;
   app.exec_time_seconds = exec_time_seconds;
-  app.structures.resize(model.structures.size());
-
-  // Lowest failing structure index, or SIZE_MAX while none failed. The
-  // parallel path races on it with a min-CAS, so the reported error is the
-  // same one the serial path would report, regardless of thread timing.
-  std::atomic<std::size_t> first_error_index{~std::size_t{0}};
-  std::vector<std::optional<EvalError>> errors(model.structures.size());
-
-  const auto evaluate_one = [&](std::size_t i) {
-    auto structure_result =
-        eval_structure(model.structures[i], exec_time_seconds);
-    if (structure_result.ok()) {
-      app.structures[i] = *std::move(structure_result);
-      return;
+  app.structures.reserve(model.structures.size());
+  for (const DataStructureSpec& ds : model.structures) {
+    auto structure_result = eval_structure(ds, exec_time_seconds);
+    if (!structure_result.ok()) {
+      EvalError err = std::move(structure_result).error();
+      err.message = "structure '" + ds.name + "': " + err.message;
+      count_eval_error(err.kind);
+      return err;
     }
-    errors[i] = std::move(structure_result).error();
-    std::size_t prev = first_error_index.load(std::memory_order_relaxed);
-    while (i < prev && !first_error_index.compare_exchange_weak(
-                           prev, i, std::memory_order_relaxed)) {
-    }
-  };
-
-  // Structure count first: resolving a default thread count can read sysfs
-  // (hardware_concurrency), which small models must never pay for.
-  if (model.structures.size() >= kParallelStructureThreshold &&
-      parallel::resolve_thread_count(threads_) > 1) {
-    // Per-structure evaluations are independent; fan them out and keep the
-    // Eq. 2 summation in model order below, so the result matches the
-    // serial path bit for bit.
-    parallel::parallel_for(parallel::ThreadPool::global(),
-                           model.structures.size(),
-                           [&](std::uint64_t i) {
-                             evaluate_one(static_cast<std::size_t>(i));
-                           },
-                           /*grain=*/4);
-  } else {
-    for (std::size_t i = 0; i < model.structures.size(); ++i) {
-      evaluate_one(i);
-      if (errors[i].has_value()) {
-        break;  // serial path can stop at the first failure
-      }
-    }
-  }
-
-  const std::size_t failed = first_error_index.load(std::memory_order_relaxed);
-  if (failed != ~std::size_t{0}) {
-    EvalError err = std::move(*errors[failed]);
-    err.message = "structure '" + model.structures[failed].name + "': " +
-                  err.message;
-    count_eval_error(err.kind);
-    return err;
+    app.structures.push_back(*std::move(structure_result));
   }
 
   math::KahanSum total;

@@ -37,30 +37,18 @@ struct ApplicationDvf {
 /// safe to share across threads.
 class DvfCalculator {
  public:
-  /// Models with at least this many structures are evaluated in parallel
-  /// (per-structure analytics are independent); smaller models stay serial
-  /// so tiny evaluations never pay scheduling overhead.
-  static constexpr std::size_t kParallelStructureThreshold = 32;
-
   explicit DvfCalculator(Machine machine);
-
-  /// Caps the worker threads used for large models (0 = DVF_THREADS env
-  /// var / hardware default, 1 = always serial). Results are bit-identical
-  /// for every setting: structures are evaluated independently and summed
-  /// in model order.
-  void set_threads(unsigned threads) noexcept { threads_ = threads; }
 
   /// Attaches a resource budget applied to every evaluation through this
   /// calculator. The budget must outlive the calculator's use; nullptr
-  /// restores the process-default limits. Shared safely by the parallel
-  /// fan-out (EvalBudget is thread-safe).
+  /// restores the process-default limits. EvalBudget is thread-safe, so
+  /// calculators sharing one budget may run concurrently.
   void set_budget(EvalBudget* budget) noexcept { budget_ = budget; }
   [[nodiscard]] EvalBudget* budget() const noexcept { return budget_; }
 
   // Every evaluation returns a classified EvalError instead of throwing.
   // Errors from a structure's evaluation are annotated with the structure's
-  // name; the parallel fan-out reports the lowest-index failure
-  // deterministically.
+  // name.
 
   /// N_ha of one data structure on this machine's LLC.
   [[nodiscard]] Result<double> try_main_memory_accesses(
@@ -70,7 +58,8 @@ class DvfCalculator {
   [[nodiscard]] Result<StructureDvf> try_for_structure(
       const DataStructureSpec& ds, double exec_time_seconds) const;
 
-  /// Eq. 2 over all structures of the model. The model must carry an
+  /// Eq. 2 over all structures of the model, evaluated in model order; the
+  /// first failing structure's error is returned. The model must carry an
   /// execution time (measured or modeled); a missing one is a domain_error.
   [[nodiscard]] Result<ApplicationDvf> try_for_model(
       const ModelSpec& model) const;
@@ -82,13 +71,12 @@ class DvfCalculator {
   [[nodiscard]] const Machine& machine() const noexcept { return machine_; }
 
  private:
-  /// Uncounted core of try_for_structure, shared with the model fan-out so
-  /// the obs error counters tick exactly once per failed public call.
+  /// Uncounted core of try_for_structure, shared with try_for_model so the
+  /// obs error counters tick exactly once per failed public call.
   [[nodiscard]] Result<StructureDvf> eval_structure(
       const DataStructureSpec& ds, double exec_time_seconds) const;
 
   Machine machine_;
-  unsigned threads_ = 0;
   EvalBudget* budget_ = nullptr;
 };
 

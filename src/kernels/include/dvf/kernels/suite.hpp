@@ -271,13 +271,11 @@ struct SuiteEvaluation {
 };
 
 /// Evaluates every kernel of `suite` (timed run, model extraction, DVF on
-/// `calc`), farming independent kernels out across `threads` workers
-/// (0 → DVF_THREADS / hardware default). Results are indexed like `suite`
-/// regardless of thread count. Note that `exec_time_seconds` is wall-clock:
-/// on an oversubscribed machine concurrent timing runs inflate T, so studies
-/// that feed T into DVF comparisons should use threads = 1.
+/// `calc`) in suite order on the calling thread. `exec_time_seconds` is
+/// wall-clock and Eq. 1 is linear in it, so each timing run has the
+/// machine to itself: no kernel of the suite runs concurrently with it.
 [[nodiscard]] std::vector<SuiteEvaluation> evaluate_suite(
     const std::vector<std::unique_ptr<KernelCase>>& suite,
-    const DvfCalculator& calc, unsigned threads = 0);
+    const DvfCalculator& calc);
 
 }  // namespace dvf::kernels

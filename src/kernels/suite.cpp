@@ -1,6 +1,5 @@
 #include "dvf/kernels/suite.hpp"
 
-#include "dvf/parallel/parallel_for.hpp"
 #include "dvf/kernels/cg.hpp"
 #include "dvf/kernels/fft.hpp"
 #include "dvf/kernels/montecarlo.hpp"
@@ -153,21 +152,18 @@ std::vector<std::unique_ptr<KernelCase>> make_extended_suite() {
 
 std::vector<SuiteEvaluation> evaluate_suite(
     const std::vector<std::unique_ptr<KernelCase>>& suite,
-    const DvfCalculator& calc, unsigned threads) {
-  std::vector<SuiteEvaluation> results(suite.size());
-  parallel::ThreadPool pool(
-      std::min<unsigned>(parallel::resolve_thread_count(threads),
-                         std::max<std::size_t>(1, suite.size())));
-  parallel::parallel_for(pool, suite.size(), [&](std::uint64_t i) {
-    KernelCase& kernel = *suite[i];
-    SuiteEvaluation& out = results[i];
-    out.kernel = kernel.name();
-    out.method = kernel.method_class();
-    out.exec_time_seconds = kernel.run_timed();
-    ModelSpec spec = kernel.model_spec();
+    const DvfCalculator& calc) {
+  std::vector<SuiteEvaluation> results;
+  results.reserve(suite.size());
+  for (const auto& kernel : suite) {
+    SuiteEvaluation& out = results.emplace_back();
+    out.kernel = kernel->name();
+    out.method = kernel->method_class();
+    out.exec_time_seconds = kernel->run_timed();
+    ModelSpec spec = kernel->model_spec();
     spec.exec_time_seconds = out.exec_time_seconds;
     out.dvf = calc.try_for_model(spec).value_or_throw();
-  });
+  }
   return results;
 }
 

@@ -61,7 +61,7 @@ struct Registry {
   std::vector<std::unique_ptr<Shard>> shards;
 };
 
-/// Leaky singleton: worker threads (e.g. the global thread pool's) may
+/// Leaky singleton: threads (e.g. the serve daemon's detached readers) may
 /// record past static destruction, so the registry is never destroyed.
 Registry& registry() {
   static Registry* r = new Registry;

@@ -1,18 +1,14 @@
-// parallel_for / parallel_reduce on top of ThreadPool.
+// parallel_for on top of ThreadPool.
 //
-// Determinism contract: both helpers produce results that depend only on
-// the index space and the grain — never on the thread count or on which
-// thread ran which chunk. parallel_reduce achieves this by reducing fixed,
-// grain-sized chunk partials in chunk order, so even non-associative
-// combines (floating-point sums) are bit-identical across thread counts.
+// Determinism contract: a body that derives its state from the index and
+// writes only its own index's slot produces results that depend only on
+// the index space — never on the thread count or on which thread ran which
+// chunk.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <type_traits>
-#include <utility>
-#include <vector>
 
 #include "dvf/parallel/thread_pool.hpp"
 
@@ -33,42 +29,6 @@ void parallel_for(ThreadPool& pool, std::uint64_t count, Body&& body,
         }
       };
   pool.for_each(count, grain, wrapped);
-}
-
-/// Maps every index in [0, count) through `map` and folds the results with
-/// `combine`, starting from `identity` (which must be the combine's neutral
-/// element). Chunks of `grain` indices are folded serially and the chunk
-/// partials are folded in ascending chunk order, so the result is
-/// bit-identical for any thread count as long as `grain` is unchanged.
-template <typename T, typename Map, typename Combine>
-[[nodiscard]] T parallel_reduce(ThreadPool& pool, std::uint64_t count,
-                                T identity, Map&& map, Combine&& combine,
-                                std::uint64_t grain = 64) {
-  if (count == 0) {
-    return identity;
-  }
-  if (grain == 0) {
-    grain = 1;
-  }
-  const std::uint64_t chunks = (count + grain - 1) / grain;
-  std::vector<T> partials(static_cast<std::size_t>(chunks), identity);
-  parallel_for(
-      pool, chunks,
-      [&](std::uint64_t chunk) {
-        const std::uint64_t begin = chunk * grain;
-        const std::uint64_t end = std::min(begin + grain, count);
-        T acc = identity;
-        for (std::uint64_t index = begin; index < end; ++index) {
-          acc = combine(std::move(acc), map(index));
-        }
-        partials[static_cast<std::size_t>(chunk)] = std::move(acc);
-      },
-      /*grain=*/1);
-  T result = std::move(partials.front());
-  for (std::size_t chunk = 1; chunk < partials.size(); ++chunk) {
-    result = combine(std::move(result), std::move(partials[chunk]));
-  }
-  return result;
 }
 
 }  // namespace dvf::parallel

@@ -1,6 +1,7 @@
 // Reusable parallel-execution layer: a persistent thread pool with chunked
 // self-scheduling (work-stealing-ish dynamic load balance without per-task
-// allocation) plus deterministic parallel_for / parallel_reduce helpers.
+// allocation) plus the deterministic parallel_for helper. Its users are the
+// injection campaign and the set-sharded trace replayer.
 //
 // Design rules the rest of the codebase relies on:
 //  - The calling thread always participates as slot 0, so ThreadPool(1)
@@ -57,9 +58,6 @@ class ThreadPool {
   void for_each(std::uint64_t count, std::uint64_t grain,
                 const std::function<void(std::uint64_t index, unsigned slot)>&
                     body);
-
-  /// Shared process-wide pool sized by default_thread_count() on first use.
-  [[nodiscard]] static ThreadPool& global();
 
  private:
   void worker_loop(unsigned slot);

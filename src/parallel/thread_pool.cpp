@@ -58,11 +58,6 @@ ThreadPool::~ThreadPool() {
   }
 }
 
-ThreadPool& ThreadPool::global() {
-  static ThreadPool pool;
-  return pool;
-}
-
 void ThreadPool::worker_loop(unsigned slot) {
   std::uint64_t seen_generation = 0;
   bool named = false;

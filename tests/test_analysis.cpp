@@ -370,39 +370,6 @@ model "M" {
   }
 }
 
-TEST(Analyze, DeterministicAcrossThreadCounts) {
-  // Enough structures to cross the parallel fan-out threshold.
-  std::string source =
-      "machine \"m\" { cache { associativity 4; sets 64; line 32; } "
-      "memory { fit 5000; } }\nmodel \"big\" {\n  time 1.0;\n";
-  for (int i = 0; i < 24; ++i) {
-    const std::string name = "d" + std::to_string(i);
-    source += "  data " + name + " { elements " + std::to_string(128 + i) +
-              "; element_size 8; }\n  pattern " + name +
-              " stream { stride 1; }\n";
-  }
-  source += "}\n";
-  const auto program = compile(source);
-
-  AnalysisOptions serial;
-  serial.threads = 1;
-  AnalysisOptions threaded;
-  threaded.threads = 4;
-  const AnalysisReport a = analyze(program.machines, program.models, serial);
-  const AnalysisReport b = analyze(program.machines, program.models, threaded);
-  EXPECT_EQ(a.canonical_hash, b.canonical_hash);
-  ASSERT_EQ(a.models.size(), b.models.size());
-  for (std::size_t i = 0; i < a.models[0].structures.size(); ++i) {
-    const StructureBounds& sa = a.models[0].structures[i];
-    const StructureBounds& sb = b.models[0].structures[i];
-    EXPECT_EQ(sa.name, sb.name);
-    EXPECT_EQ(sa.n_ha.lo, sb.n_ha.lo);
-    EXPECT_EQ(sa.n_ha.hi, sb.n_ha.hi);
-    EXPECT_EQ(sa.dvf.lo, sb.dvf.lo);
-    EXPECT_EQ(sa.dvf.hi, sb.dvf.hi);
-  }
-}
-
 TEST(Analyze, TotalWithNoMachines) {
   const auto program = compile(R"(
 model "M" {

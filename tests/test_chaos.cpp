@@ -550,13 +550,16 @@ TEST_F(ChaosPool, SpawnFailureDegradesPoolButWorkCompletes) {
   EXPECT_EQ(partial.concurrency(), 2u);
   failpoint::clear();
 
-  // Degraded pools still complete work, and the deterministic reduction
-  // contract holds regardless of how many slots survived.
+  // Degraded pools still run every index exactly once, however many slots
+  // survived.
   for (parallel::ThreadPool* pool : {&solo, &partial}) {
-    const std::uint64_t total = parallel::parallel_reduce(
-        *pool, 1000, std::uint64_t{0},
-        [](std::uint64_t index) { return index; },
-        [](std::uint64_t a, std::uint64_t b) { return a + b; });
+    std::vector<std::uint64_t> slots(1000, 0);
+    parallel::parallel_for(*pool, slots.size(),
+                           [&](std::uint64_t index) { slots[index] = index; });
+    std::uint64_t total = 0;
+    for (const std::uint64_t value : slots) {
+      total += value;
+    }
     EXPECT_EQ(total, 999u * 1000u / 2u);
   }
 }

@@ -12,22 +12,18 @@ namespace dvf::dsl {
 namespace {
 
 TEST(Evaluate, ArithmeticAndParams) {
-  const std::map<std::string, double> env = {{"n", 10.0}};
-  const Program p = parse("param x = (n + 2) * 3 - n / 5 + 2 ^ 3 + 7 % 4;");
-  EXPECT_DOUBLE_EQ(evaluate(*p.params[0].value, env),
-                   36.0 - 2.0 + 8.0 + 3.0);
+  const CompiledProgram c = compile(
+      "param n = 10; param x = (n + 2) * 3 - n / 5 + 2 ^ 3 + 7 % 4;");
+  EXPECT_DOUBLE_EQ(c.params.at("x"), 36.0 - 2.0 + 8.0 + 3.0);
 }
 
 TEST(Evaluate, UnknownIdentifierThrows) {
-  const Program p = parse("param x = y + 1;");
-  EXPECT_THROW((void)evaluate(*p.params[0].value, {}), SemanticError);
+  EXPECT_THROW((void)compile("param x = y + 1;"), SemanticError);
 }
 
 TEST(Evaluate, DivisionByZeroThrows) {
-  const Program p = parse("param x = 1 / 0;");
-  EXPECT_THROW((void)evaluate(*p.params[0].value, {}), SemanticError);
-  const Program q = parse("param x = 1 % 0;");
-  EXPECT_THROW((void)evaluate(*q.params[0].value, {}), SemanticError);
+  EXPECT_THROW((void)compile("param x = 1 / 0;"), SemanticError);
+  EXPECT_THROW((void)compile("param x = 1 % 0;"), SemanticError);
 }
 
 TEST(Analyzer, ParamsChainInOrder) {

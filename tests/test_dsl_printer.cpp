@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
+#include <string>
 
 #include "dvf/dsl/analyzer.hpp"
 #include "dvf/dsl/parser.hpp"
@@ -28,15 +28,15 @@ TEST(Printer, ExpressionsUseMinimalParens) {
 }
 
 TEST(Printer, ExpressionValuePreservedThroughRoundTrip) {
-  const std::map<std::string, double> env = {{"n", 7.0}};
+  const auto value_of = [](const std::string& expr) {
+    return compile("param n = 7; param x = " + expr + ";").params.at("x");
+  };
   for (const char* text :
        {"1 + 2 * n - 4 / 2", "n ^ 2 % 5", "-(n - 2) * (n + 2)",
         "((n))", "2 ^ -1 + n"}) {
     const Program original = parse(std::string("param x = ") + text + ";");
     const std::string printed = print(*original.params[0].value);
-    const Program reparsed = parse("param x = " + printed + ";");
-    EXPECT_DOUBLE_EQ(evaluate(*original.params[0].value, env),
-                     evaluate(*reparsed.params[0].value, env))
+    EXPECT_DOUBLE_EQ(value_of(text), value_of(printed))
         << text << " -> " << printed;
   }
 }

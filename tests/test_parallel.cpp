@@ -1,14 +1,18 @@
 // Tests for the parallel-execution layer (src/parallel) and its consumers:
-// the thread pool, the deterministic parallel_for / parallel_reduce
-// helpers, the multi-threaded injection campaign and the parallel DVF
-// calculator. All suites here are named Parallel* so the ThreadSanitizer
+// the thread pool, the deterministic parallel_for helper and the
+// multi-threaded injection campaign, plus the serial contract of the suite
+// evaluator. All suites here are named Parallel* so the ThreadSanitizer
 // pass (scripts/run_tests.sh) can select them with one gtest filter.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -94,26 +98,6 @@ TEST(ParallelThreadPool, DefaultThreadCountHonorsEnvVar) {
   EXPECT_GE(parallel::default_thread_count(), 1u);
   ASSERT_EQ(unsetenv("DVF_THREADS"), 0);
   EXPECT_GE(parallel::default_thread_count(), 1u);
-}
-
-TEST(ParallelReduce, FloatingSumIsBitIdenticalAcrossThreadCounts) {
-  const auto map = [](std::uint64_t i) {
-    return 1.0 / static_cast<double>(i + 1);
-  };
-  const auto combine = [](double a, double b) { return a + b; };
-  const std::uint64_t n = 10'000;
-
-  std::vector<double> sums;
-  for (const unsigned threads : {1u, 2u, 8u}) {
-    parallel::ThreadPool pool(threads);
-    sums.push_back(
-        parallel::parallel_reduce(pool, n, 0.0, map, combine, /*grain=*/64));
-  }
-  // Non-associative combine: only the fixed chunk-order schedule makes
-  // these bitwise equal.
-  EXPECT_EQ(sums[0], sums[1]);
-  EXPECT_EQ(sums[0], sums[2]);
-  EXPECT_NEAR(sums[0], 9.787606036044348, 1e-9);  // harmonic number H_10000
 }
 
 // --- Campaign determinism across thread counts -----------------------------
@@ -211,46 +195,104 @@ TEST(ParallelCampaign, CloneReproducesTheKernel) {
   EXPECT_EQ(copy->registry().size(), original->registry().size());
 }
 
-// --- Parallel DVF calculator ----------------------------------------------
+// --- Suite evaluation ------------------------------------------------------
 
-ModelSpec wide_synthetic_model(std::size_t structures) {
-  ModelSpec model;
-  model.name = "wide";
-  model.exec_time_seconds = 1.5;
-  for (std::size_t i = 0; i < structures; ++i) {
-    DataStructureSpec ds;
-    ds.name = "s" + std::to_string(i);
-    ds.size_bytes = 4096 * (i + 1);
-    StreamingSpec stream;
-    stream.element_bytes = 8;
-    stream.element_count = 512 * (i + 1);
-    stream.stride_elements = 1 + i % 3;
-    ds.patterns.push_back(PatternSpec{stream});
-    model.structures.push_back(std::move(ds));
+/// What the sleeping kernel's runs observed, shared by every instance.
+struct RunProbe {
+  std::mutex mutex;
+  std::vector<int> order;                ///< Config::index, per run
+  std::vector<std::thread::id> threads;  ///< running thread, per run
+  int in_flight = 0;
+  int max_in_flight = 0;
+};
+
+/// A kernel whose run sleeps a few milliseconds and records which thread
+/// ran it and how many runs were in flight, so a test can tell a serial
+/// suite evaluation from a concurrent one.
+class SleepingKernel {
+ public:
+  using Element = double;
+
+  struct Config {
+    RunProbe* probe = nullptr;
+    int index = 0;
+  };
+
+  explicit SleepingKernel(const Config& config) : config_(config), data_(8) {
+    data_id_ = registry_.register_structure("data", data_.data(),
+                                            data_.size_bytes(),
+                                            sizeof(Element));
   }
-  return model;
-}
 
-TEST(ParallelCalculator, WideModelIsBitIdenticalToSerial) {
-  // Above the parallel threshold, so the threaded path actually engages.
-  const ModelSpec model =
-      wide_synthetic_model(DvfCalculator::kParallelStructureThreshold + 8);
+  template <RecorderLike R>
+  void run(R& rec) {
+    RunProbe& probe = *config_.probe;
+    {
+      const std::lock_guard<std::mutex> lock(probe.mutex);
+      probe.order.push_back(config_.index);
+      probe.threads.push_back(std::this_thread::get_id());
+      probe.max_in_flight = std::max(probe.max_in_flight, ++probe.in_flight);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    for (std::size_t i = 0; i < data_.size(); ++i) {
+      kernels::load(rec, data_id_, data_, i);
+    }
+    const std::lock_guard<std::mutex> lock(probe.mutex);
+    --probe.in_flight;
+  }
 
-  DvfCalculator serial(Machine::with_cache(caches::profiling_8mb()));
-  serial.set_threads(1);
-  const ApplicationDvf reference = serial.try_for_model(model).value_or_throw();
+  void reset() {}
+  [[nodiscard]] double output_signature() const { return 0.0; }
 
-  DvfCalculator threaded(Machine::with_cache(caches::profiling_8mb()));
-  threaded.set_threads(8);
-  const ApplicationDvf result = threaded.try_for_model(model).value_or_throw();
+  [[nodiscard]] ModelSpec model_spec() const {
+    DataStructureSpec ds;
+    ds.name = "data";
+    ds.size_bytes = data_.size_bytes();
+    StreamingSpec stream;
+    stream.element_bytes = sizeof(Element);
+    stream.element_count = data_.size();
+    stream.stride_elements = 1;
+    ds.patterns.emplace_back(stream);
+    ModelSpec spec;
+    spec.name = "SLEEP";
+    spec.structures.push_back(std::move(ds));
+    return spec;
+  }
 
-  EXPECT_EQ(result.total, reference.total);  // bitwise, not approximate
-  ASSERT_EQ(result.structures.size(), reference.structures.size());
-  for (std::size_t i = 0; i < result.structures.size(); ++i) {
-    EXPECT_EQ(result.structures[i].name, reference.structures[i].name);
-    EXPECT_EQ(result.structures[i].dvf, reference.structures[i].dvf);
-    EXPECT_EQ(result.structures[i].n_ha, reference.structures[i].n_ha);
-    EXPECT_EQ(result.structures[i].n_error, reference.structures[i].n_error);
+  [[nodiscard]] const DataStructureRegistry& registry() const noexcept {
+    return registry_;
+  }
+
+ private:
+  Config config_;
+  AlignedBuffer<Element> data_;
+  DataStructureRegistry registry_;
+  DsId data_id_{};
+};
+
+TEST(ParallelSuite, EvaluateSuiteTimesKernelsSeriallyOnTheCaller) {
+  RunProbe probe;
+  std::vector<std::unique_ptr<KernelCase>> suite;
+  for (int i = 0; i < 3; ++i) {
+    suite.push_back(
+        std::make_unique<kernels::KernelCaseAdapter<SleepingKernel>>(
+            "S" + std::to_string(i), "test",
+            SleepingKernel::Config{.probe = &probe, .index = i}));
+  }
+  const DvfCalculator calc(Machine::with_cache(caches::profiling_8mb()));
+  const auto results = kernels::evaluate_suite(suite, calc);
+
+  EXPECT_EQ(probe.max_in_flight, 1);
+  EXPECT_EQ(probe.order, (std::vector<int>{0, 1, 2}));
+  ASSERT_EQ(probe.threads.size(), 3u);
+  for (const std::thread::id& id : probe.threads) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
+  ASSERT_EQ(results.size(), 3u);
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    EXPECT_EQ(results[i].kernel, "S" + std::to_string(i));
+    EXPECT_GE(results[i].exec_time_seconds, 0.005);
+    EXPECT_GT(results[i].dvf.total, 0.0);
   }
 }
 
@@ -259,7 +301,7 @@ TEST(ParallelSuite, EvaluateSuiteCoversEveryKernelInOrder) {
   suite.push_back(make_small_vm());
   suite.push_back(make_small_fft());
   const DvfCalculator calc(Machine::with_cache(caches::profiling_8mb()));
-  const auto results = kernels::evaluate_suite(suite, calc, /*threads=*/2);
+  const auto results = kernels::evaluate_suite(suite, calc);
   ASSERT_EQ(results.size(), 2u);
   EXPECT_EQ(results[0].kernel, "VM");
   EXPECT_EQ(results[1].kernel, "FT");

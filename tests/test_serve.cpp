@@ -26,7 +26,6 @@
 #include <thread>
 #include <vector>
 
-#include "dvf/dvf/calculator.hpp"
 #include "dvf/obs/obs.hpp"
 #include "dvf/serve/cache.hpp"
 #include "dvf/serve/engine.hpp"
@@ -627,13 +626,12 @@ std::uint64_t counter_value(std::string_view name) {
 
 // Hit storm: two clients send the same two sources to one Engine with obs
 // on, so nearly every request takes the hit path concurrently: the static
-// metric handles, and the calculator's serial path (a 1-structure model)
-// and its parallel path (a model at the fan-out threshold). Every response
-// repeats the results bytes of a serial reference, and the counters add up.
+// metric handles, and the calculator on a 1-structure model and on a
+// 32-structure one. Every response repeats the results bytes of a serial
+// reference, and the counters add up.
 TEST(ServeChaos, ConcurrentHitStormRepeatsResultsBytes) {
   std::string wide = "model \"wide\" {\n  time 0.25;\n";
-  for (std::size_t i = 0; i < dvf::DvfCalculator::kParallelStructureThreshold;
-       ++i) {
+  for (std::size_t i = 0; i < 32; ++i) {
     const std::string name = "S" + std::to_string(i);
     wide += "  data " + name + " { elements " + std::to_string(64 * (i + 1)) +
             "; element_size 8; }\n  pattern " + name +

@@ -243,7 +243,7 @@ model "M" {
                SemanticError);
 }
 
-// ---- analysis: bounds, hash, thread determinism ---------------------------
+// ---- analysis: bounds and hash ---------------------------------------------
 
 constexpr const char* kTiledModel = R"(
 machine "m" {
@@ -257,39 +257,31 @@ model "M" {
 }
 )";
 
-TEST(TiledAnalysis, BoundsContainTheEvaluatorAtOneAndFourThreads) {
+TEST(TiledAnalysis, BoundsContainTheEvaluator) {
   const dsl::CompiledProgram p = dsl::compile(kTiledModel);
-  for (const unsigned threads : {1u, 4u}) {
-    analysis::AnalysisOptions options;
-    options.threads = threads;
-    const analysis::AnalysisReport report =
-        analysis::analyze(p.machines, p.models, options);
-    const analysis::ModelBounds* model = report.find_model("M");
-    ASSERT_NE(model, nullptr);
-    ASSERT_EQ(model->structures.size(), 1u);
-    const analysis::StructureBounds& a = model->structures[0];
-    ASSERT_EQ(a.per_machine.size(), 1u);
-    EXPECT_FALSE(a.per_machine[0].eval_rejects);
-    const double n_ha = try_estimate_accesses(
-        p.models.at(0).find("A")->patterns.at(0), p.machines.at(0).llc)
-        .value_or_throw();
-    EXPECT_TRUE(a.per_machine[0].n_ha.contains(n_ha))
-        << n_ha << " outside [" << a.per_machine[0].n_ha.lo << ", "
-        << a.per_machine[0].n_ha.hi << "] at " << threads << " threads";
-  }
+  const analysis::AnalysisReport report =
+      analysis::analyze(p.machines, p.models);
+  const analysis::ModelBounds* model = report.find_model("M");
+  ASSERT_NE(model, nullptr);
+  ASSERT_EQ(model->structures.size(), 1u);
+  const analysis::StructureBounds& a = model->structures[0];
+  ASSERT_EQ(a.per_machine.size(), 1u);
+  EXPECT_FALSE(a.per_machine[0].eval_rejects);
+  const double n_ha = try_estimate_accesses(
+      p.models.at(0).find("A")->patterns.at(0), p.machines.at(0).llc)
+      .value_or_throw();
+  EXPECT_TRUE(a.per_machine[0].n_ha.contains(n_ha))
+      << n_ha << " outside [" << a.per_machine[0].n_ha.lo << ", "
+      << a.per_machine[0].n_ha.hi << "]";
 }
 
-TEST(TiledAnalysis, CanonicalHashIsThreadInvariantAndFieldSensitive) {
+TEST(TiledAnalysis, CanonicalHashIsStableAndFieldSensitive) {
   const dsl::CompiledProgram p = dsl::compile(kTiledModel);
-  analysis::AnalysisOptions one;
-  one.threads = 1;
-  analysis::AnalysisOptions four;
-  four.threads = 4;
   const std::uint64_t h1 =
-      analysis::analyze(p.machines, p.models, one).canonical_hash;
-  const std::uint64_t h4 =
-      analysis::analyze(p.machines, p.models, four).canonical_hash;
-  EXPECT_EQ(h1, h4);
+      analysis::analyze(p.machines, p.models).canonical_hash;
+  const std::uint64_t h2 =
+      analysis::analyze(p.machines, p.models).canonical_hash;
+  EXPECT_EQ(h1, h2);
   EXPECT_NE(h1, 0u);
 
   // Any tiled field change must move the hash (the serve daemon keys its
@@ -300,7 +292,7 @@ TEST(TiledAnalysis, CanonicalHashIsThreadInvariantAndFieldSensitive) {
     return s.replace(at, 8, "passes 9");
   }();
   const dsl::CompiledProgram q = dsl::compile(perturbed);
-  EXPECT_NE(analysis::analyze(q.machines, q.models, one).canonical_hash, h1);
+  EXPECT_NE(analysis::analyze(q.machines, q.models).canonical_hash, h1);
 }
 
 // ---- differential oracle --------------------------------------------------

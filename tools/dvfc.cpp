@@ -4,7 +4,7 @@
 //                                             (fail-fast: first error each)
 //   dvfc lint <file>... [--json] [--werror]   collect ALL diagnostics plus
 //                                             model-sanity lint rules
-//   dvfc analyze <file>... [--json] [--werror] [--threads N]
+//   dvfc analyze <file>... [--json] [--werror]
 //                                             semantic analysis: provable
 //                                             N_ha/DVF bounds, A3xx verdicts
 //                                             and a canonical model hash
@@ -14,10 +14,10 @@
 //   dvfc caches <file> --model N              sweep the paper's four
 //                                             profiling caches
 //   dvfc ecc <file> --model N [--machine N]   ECC/performance trade-off
-//   dvfc kernels [--suite verification|profiling] [--threads N]
+//   dvfc kernels [--suite verification|profiling]
 //                                             DVF-profile the built-in
-//                                             kernel suite (N workers; 0 =
-//                                             DVF_THREADS env or hardware)
+//                                             kernel suite (serial timing
+//                                             runs)
 #include <unistd.h>
 
 #include <algorithm>
@@ -281,12 +281,12 @@ bool options_recognized(const Args& args) {
   static const std::map<std::string, std::vector<std::string>> kAllowed = {
       {"check", {"json"}},
       {"lint", {"json", "werror"}},
-      {"analyze", {"json", "werror", "threads"}},
+      {"analyze", {"json", "werror"}},
       {"fmt", {}},
       {"eval", {"model", "machine", "csv"}},
       {"caches", {"model"}},
       {"ecc", {"model", "machine"}},
-      {"kernels", {"suite", "threads"}},
+      {"kernels", {"suite"}},
       {"trace", {}},
       {"replay", {"assoc", "sets", "line", "threads", "policy"}},
       {"infer", {"assoc", "sets", "line"}},
@@ -317,8 +317,8 @@ bool options_recognized(const Args& args) {
 
 // Parses a numeric option, raising BadUsage (exit 2 + a clear message)
 // instead of the uncaught-exception abort std::stoul would produce on e.g.
-// --threads abc. An option given without a value ("dvfc kernels --threads")
-// parses as the fallback.
+// --threads abc. An option given without a value
+// ("dvfc campaign VM --threads") parses as the fallback.
 std::uint32_t numeric_option(const Args& args, const std::string& name,
                              std::uint32_t fallback) {
   const std::string text = args.option(name, "");
@@ -378,7 +378,7 @@ int usage() {
       "                                        pass, plus model-sanity lint\n"
       "                                        rules; --werror promotes\n"
       "                                        warnings to failures\n"
-      "  analyze <file>... [--json] [--werror] [--threads N]\n"
+      "  analyze <file>... [--json] [--werror]\n"
       "                                        semantic analysis: provable\n"
       "                                        per-structure N_ha/DVF bounds,\n"
       "                                        A3xx verdicts and a canonical\n"
@@ -388,9 +388,9 @@ int usage() {
       "  eval <file> [--model N] [--machine N] [--csv]\n"
       "  caches <file> --model N               profiling-cache sweep\n"
       "  ecc <file> --model N [--machine N]    ECC trade-off sweep\n"
-      "  kernels [--suite verification|profiling] [--threads N]\n"
-      "                                        N=0: DVF_THREADS env var or\n"
-      "                                        hardware default; N=1: serial\n"
+      "  kernels [--suite verification|profiling]\n"
+      "                                        time each kernel serially and\n"
+      "                                        print its DVF\n"
       "  campaign <kernel> [--trials N] [--seed N] [--threads N]\n"
       "           [--journal FILE] [--resume] [--ci-width X]\n"
       "           [--hang-factor X] [--batch N] [--json]\n"
@@ -400,7 +400,9 @@ int usage() {
       "                                        crash-resumable (--resume runs\n"
       "                                        only missing trials), --ci-width\n"
       "                                        stops structures whose Wilson\n"
-      "                                        95% SDC CI converged\n"
+      "                                        95% SDC CI converged; N workers\n"
+      "                                        (N=0: DVF_THREADS env var or\n"
+      "                                        hardware default)\n"
       "  trace <kernel> <out.dvft>              record a kernel's references\n"
       "                                        (compact little-endian\n"
       "                                        chunked format)\n"
@@ -664,15 +666,13 @@ int cmd_analyze(const Args& args) {
   }
   const bool json = args.flag("json");
   const bool werror = args.flag("werror");
-  dvf::analysis::AnalysisOptions options;
-  options.threads = numeric_option(args, "threads", 1);
   std::size_t errors = 0;
   std::size_t warnings = 0;
   std::vector<std::string> objects;
   for (const std::string& file : args.positional) {
     dvf::dsl::SemanticAnalysis result;
     try {
-      result = dvf::dsl::analyze_models_file(file, options);
+      result = dvf::dsl::analyze_models_file(file);
     } catch (const dvf::Error& err) {
       std::cerr << "dvfc: " << err.what() << "\n";
       return 2;
@@ -814,16 +814,12 @@ int cmd_kernels(const Args& args) {
   auto suite = suite_name == "profiling"
                    ? dvf::kernels::make_profiling_suite()
                    : dvf::kernels::make_verification_suite();
-  // Kernels evaluate concurrently; --threads 1 restores fully serial timing
-  // runs (wall-clock T is most faithful without co-runners). Default: the
-  // DVF_THREADS env var, else the hardware thread count.
-  const unsigned threads = numeric_option(args, "threads", 0);
 
   dvf::Table table({"kernel", "method", "T (s)", "DVF_a @8MB"});
   const dvf::DvfCalculator calc =
       make_calculator(dvf::Machine::with_cache(dvf::caches::profiling_8mb()));
   for (const auto& result :
-       dvf::kernels::evaluate_suite(suite, calc, threads)) {
+       dvf::kernels::evaluate_suite(suite, calc)) {
     table.add_row({result.kernel, result.method,
                    dvf::num(result.exec_time_seconds, 3),
                    dvf::num(result.dvf.total)});
