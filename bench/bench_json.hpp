@@ -11,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "dvf/common/string_util.hpp"
+
 namespace dvf::bench {
 
 class JsonRecords {
@@ -20,7 +22,7 @@ class JsonRecords {
     Record() { out_.precision(12); }
     Record& field(const std::string& key, const std::string& value) {
       add_key(key);
-      out_ << '"' << value << '"';
+      out_ << json_escape_string(value);
       return *this;
     }
     Record& field(const std::string& key, double value) {
@@ -43,7 +45,7 @@ class JsonRecords {
       if (!out_.str().empty()) {
         out_ << ", ";
       }
-      out_ << '"' << key << "\": ";
+      out_ << json_escape_string(key) << ": ";
     }
     std::ostringstream out_;
   };
@@ -61,7 +63,8 @@ class JsonRecords {
   void write(const std::string& name) const {
     const std::string path = "BENCH_" + name + ".json";
     std::ofstream out(path);
-    out << "{\n  \"benchmark\": \"" << name << "\",\n  \"records\": [\n";
+    out << "{\n  \"benchmark\": " << json_escape_string(name)
+        << ",\n  \"records\": [\n";
     for (std::size_t i = 0; i < records_.size(); ++i) {
       out << "    " << records_[i] << (i + 1 < records_.size() ? "," : "")
           << "\n";

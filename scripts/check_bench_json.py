@@ -11,9 +11,16 @@ downstream trajectory tooling can rely on:
   - every timed record carries positive ``wall_s`` and ``accesses_per_s``;
   - records sharing a scenario name do not appear twice (a duplicate means
     the harness double-reported);
-  - for the cachesim harness specifically: the sharded scenarios carry
-    ``threads``/``policy``/``hardware_threads``, and the trace-size records
-    carry consistent ``records``/``v2_bytes``/``bytes_per_record``;
+  - for the cachesim harness specifically: every record carries
+    ``hardware_threads``; the sharded scenarios carry ``threads``/``policy``,
+    and the trace-size records carry consistent
+    ``records``/``v2_bytes``/``bytes_per_record``; the ``_obs`` replay
+    carries ``enabled_overhead_pct``; every estimator family (streaming,
+    random_uniform, random_irm, template, reuse) has at least one
+    ``model_*`` record with a positive ``ns_per_call``, its cache name and
+    ``capacity_bytes``; ``kernel_vm_bare_vs_sim``'s ``ratio`` equals
+    ``simulated_ms / bare_ms``; and ``obs_primitives`` carries all five
+    per-primitive costs;
   - for the serve harness: cold_compile/cache_hit/shed_2x scenarios are all
     present, latency records carry positive ``requests``/``mean_us``, the
     cache-hit record proves the cache actually served hits, and the shed
@@ -23,6 +30,12 @@ downstream trajectory tooling can rely on:
 
 import json
 import sys
+
+
+MODEL_FAMILIES = {"streaming", "random_uniform", "random_irm", "template",
+                  "reuse"}
+OBS_PRIMITIVES = ("disabled_branch_ns", "counter_add_ns",
+                  "histogram_record_ns", "span_ns", "failpoint_disabled_ns")
 
 
 def fail(message: str) -> None:
@@ -49,6 +62,7 @@ def check_file(path: str) -> int:
             f"{path}: 'records' must be a non-empty array")
 
     seen_scenarios = set()
+    model_families = set()
     for index, record in enumerate(records):
         where = f"{path}: records[{index}]"
         require(isinstance(record, dict), f"{where}: must be an object")
@@ -92,8 +106,10 @@ def check_file(path: str) -> int:
                         f"{where}: shed_rate inconsistent with counts")
 
         if doc["benchmark"] == "cachesim":
+            require(record.get("hardware_threads", 0) >= 1,
+                    f"{where}: needs hardware_threads >= 1")
             if "sharded" in scenario:
-                for key in ("threads", "policy", "hardware_threads"):
+                for key in ("threads", "policy"):
                     require(key in record, f"{where}: sharded needs '{key}'")
                 require(record["threads"] >= 2,
                         f"{where}: sharded threads must be >= 2")
@@ -106,6 +122,39 @@ def check_file(path: str) -> int:
                         <= 1e-3 * per_record,
                         f"{where}: bytes_per_record inconsistent with "
                         "v2_bytes / records")
+            if scenario.endswith("_obs"):
+                require("enabled_overhead_pct" in record,
+                        f"{where}: needs 'enabled_overhead_pct'")
+            if scenario.startswith("model_"):
+                require(record.get("family") in MODEL_FAMILIES,
+                        f"{where}: unknown estimator family")
+                require(record.get("ns_per_call", 0) > 0,
+                        f"{where}: needs ns_per_call > 0")
+                require(isinstance(record.get("cache"), str)
+                        and record.get("capacity_bytes", 0) > 0,
+                        f"{where}: needs 'cache' and 'capacity_bytes'")
+                model_families.add(record["family"])
+            if scenario == "kernel_vm_bare_vs_sim":
+                for key in ("bare_ms", "simulated_ms", "ratio",
+                            "capacity_bytes"):
+                    require(record.get(key, 0) > 0,
+                            f"{where}: needs positive '{key}'")
+                ratio = record["simulated_ms"] / record["bare_ms"]
+                require(abs(ratio - record["ratio"]) <= 1e-6 * ratio,
+                        f"{where}: ratio inconsistent with "
+                        "simulated_ms / bare_ms")
+            if scenario == "obs_primitives":
+                for key in OBS_PRIMITIVES:
+                    require(record.get(key, 0) > 0,
+                            f"{where}: needs positive '{key}'")
+
+    if doc["benchmark"] == "cachesim":
+        for family in sorted(MODEL_FAMILIES - model_families):
+            fail(f"{path}: no ns_per_call record for estimator family "
+                 f"'{family}'")
+        for scenario in ("kernel_vm_bare_vs_sim", "obs_primitives"):
+            require(scenario in seen_scenarios,
+                    f"{path}: cachesim bench missing scenario '{scenario}'")
 
     if doc["benchmark"] == "serve":
         for scenario in ("cold_compile", "cache_hit", "shed_2x"):

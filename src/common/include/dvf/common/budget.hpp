@@ -92,9 +92,6 @@ class EvalBudget {
   [[nodiscard]] std::uint64_t references_used() const noexcept {
     return references_.load(std::memory_order_relaxed);
   }
-  [[nodiscard]] std::uint64_t expansion_used() const noexcept {
-    return expansion_.load(std::memory_order_relaxed);
-  }
 
   /// The budget used when an evaluator is handed nullptr: process-wide,
   /// default limits, no deadline. It meters per charge (each charge is

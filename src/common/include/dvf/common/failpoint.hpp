@@ -12,7 +12,8 @@
 //   * The disabled path is ONE relaxed atomic load and a branch. No
 //     failpoint spec configured (the overwhelmingly common case) means
 //     `DVF_FAILPOINT("x")` costs under a nanosecond and touches no shared
-//     cache line (bench/obs_overhead pins this).
+//     cache line (bench/cachesim_throughput's obs_primitives record
+//     measures it).
 //   * Sites are self-registering: the first armed evaluation of a
 //     `DVF_FAILPOINT(name)` site resolves `name` to a slot once (function-
 //     local static) and every later hit is lock-free — an atomic hit-count

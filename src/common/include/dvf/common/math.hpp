@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 namespace dvf::math {
@@ -45,9 +44,6 @@ class KahanSum {
   double sum_ = 0.0;
   double compensation_ = 0.0;
 };
-
-/// Sum of a span with Kahan compensation.
-[[nodiscard]] double stable_sum(std::span<const double> xs);
 
 // ---------------------------------------------------------------------------
 // Population guard. Eqs. 5-7 route through log-gamma, which keeps the LOG
@@ -93,9 +89,6 @@ inline constexpr std::int64_t kMaxCombinatoricPopulation = std::int64_t{1}
 [[nodiscard]] double wilson_half_width(std::uint64_t successes,
                                        std::uint64_t n,
                                        double z = 1.959963984540054);
-
-/// True when |a - b| <= tol * max(1, |a|, |b|).
-[[nodiscard]] bool approx_equal(double a, double b, double tol = 1e-9);
 
 /// Relative error |est - ref| / |ref| (0 when both are 0, +inf when only the
 /// reference is 0). Used by the verification harness to report Fig. 4 errors.

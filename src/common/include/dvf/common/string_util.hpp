@@ -1,29 +1,21 @@
-// Small string utilities shared by the DSL front end and the reporters.
+// Small string utilities shared by the reporters and every JSON writer.
 #pragma once
 
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace dvf {
-
-/// Splits on a single-character delimiter; empty fields are preserved.
-[[nodiscard]] std::vector<std::string> split(std::string_view text, char delim);
-
-/// Removes leading and trailing ASCII whitespace.
-[[nodiscard]] std::string_view trim(std::string_view text);
-
-/// Case-sensitive prefix/suffix tests (string_view helpers for pre-C++20 call
-/// sites are gone; these forward to the standard members but read better at
-/// call sites taking std::string).
-[[nodiscard]] bool starts_with(std::string_view text, std::string_view prefix);
-
-/// Joins items with a separator.
-[[nodiscard]] std::string join(const std::vector<std::string>& items,
-                               std::string_view sep);
 
 /// Formats a double with `digits` significant digits, trimming trailing
 /// zeros — the reporters use this for table cells.
 [[nodiscard]] std::string format_significant(double value, int digits = 4);
+
+/// `text` as a quoted JSON string literal (escapes ", \, control chars).
+[[nodiscard]] std::string json_escape_string(std::string_view text);
+
+/// A double as a JSON number token (17 significant digits, round-trip
+/// exact). Non-finite values encode as null so no output ever carries a
+/// bare inf/nan token.
+[[nodiscard]] std::string json_number(double value);
 
 }  // namespace dvf

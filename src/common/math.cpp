@@ -86,14 +86,6 @@ double binomial_tail(std::int64_t n, std::int64_t k, double p) {
   return std::clamp(1.0 - below.value(), 0.0, 1.0);
 }
 
-double stable_sum(std::span<const double> xs) {
-  KahanSum s;
-  for (const double x : xs) {
-    s.add(x);
-  }
-  return s.value();
-}
-
 double wilson_half_width(std::uint64_t successes, std::uint64_t n, double z) {
   if (n == 0) {
     return 1.0;
@@ -103,11 +95,6 @@ double wilson_half_width(std::uint64_t successes, std::uint64_t n, double z) {
   const double z2 = z * z;
   return z * std::sqrt(p * (1.0 - p) / nn + z2 / (4.0 * nn * nn)) /
          (1.0 + z2 / nn);
-}
-
-bool approx_equal(double a, double b, double tol) {
-  const double scale = std::max({1.0, std::fabs(a), std::fabs(b)});
-  return std::fabs(a - b) <= tol * scale;
 }
 
 double relative_error(double estimate, double reference) {

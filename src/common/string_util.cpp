@@ -1,51 +1,10 @@
 #include "dvf/common/string_util.hpp"
 
-#include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
 namespace dvf {
-
-std::vector<std::string> split(std::string_view text, char delim) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t pos = text.find(delim, start);
-    if (pos == std::string_view::npos) {
-      out.emplace_back(text.substr(start));
-      return out;
-    }
-    out.emplace_back(text.substr(start, pos - start));
-    start = pos + 1;
-  }
-}
-
-std::string_view trim(std::string_view text) {
-  std::size_t begin = 0;
-  std::size_t end = text.size();
-  while (begin < end && std::isspace(static_cast<unsigned char>(text[begin]))) {
-    ++begin;
-  }
-  while (end > begin && std::isspace(static_cast<unsigned char>(text[end - 1]))) {
-    --end;
-  }
-  return text.substr(begin, end - begin);
-}
-
-bool starts_with(std::string_view text, std::string_view prefix) {
-  return text.substr(0, prefix.size()) == prefix;
-}
-
-std::string join(const std::vector<std::string>& items, std::string_view sep) {
-  std::string out;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (i != 0) {
-      out += sep;
-    }
-    out += items[i];
-  }
-  return out;
-}
 
 std::string format_significant(double value, int digits) {
   if (std::isnan(value)) {
@@ -57,6 +16,45 @@ std::string format_significant(double value, int digits) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*g", digits, value);
   return buf;
+}
+
+std::string json_escape_string(std::string_view text) {
+  std::string out;
+  out.reserve(text.size() + 2);
+  out.push_back('"');
+  for (const char c : text) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buf;
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
+  out.push_back('"');
+  return out;
+}
+
+std::string json_number(double value) {
+  if (!std::isfinite(value)) {
+    return "null";
+  }
+  // General format at precision 17 is defined to match printf's "%.17g".
+  char buf[32];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, value,
+                                       std::chars_format::general, 17);
+  return std::string(buf, end);
 }
 
 }  // namespace dvf

@@ -25,13 +25,12 @@ SourceSpan tuple_span(const KeyTuple& tuple) {
   return {tuple.line, tuple.column, static_cast<int>(tuple.key.size())};
 }
 
-/// Shared recursive evaluator. `diags` may be null (probe mode: fail
-/// silently); `poisoned` names parameters whose own definitions already
-/// failed, so uses of them stay quiet instead of cascading E002.
+/// Recursive evaluator; `poisoned` names parameters whose own definitions
+/// already failed, so uses of them stay quiet instead of cascading E002.
 std::optional<double> eval_expr(const Expr& expr,
                                 const std::map<std::string, double>& env,
-                                const std::set<std::string>* poisoned,
-                                DiagnosticEngine* diags) {
+                                const std::set<std::string>& poisoned,
+                                DiagnosticEngine& diags) {
   switch (expr.kind) {
     case Expr::Kind::kNumber:
       return expr.number;
@@ -40,13 +39,12 @@ std::optional<double> eval_expr(const Expr& expr,
       if (it != env.end()) {
         return it->second;
       }
-      if (diags != nullptr &&
-          (poisoned == nullptr || poisoned->count(expr.identifier) == 0)) {
-        diags->error(codes::kUnknownIdentifier,
-                     {expr.line, expr.column,
-                      static_cast<int>(expr.identifier.size())},
-                     "unknown parameter '" + expr.identifier + "'",
-                     "declare it first: param " + expr.identifier + " = ...;");
+      if (poisoned.count(expr.identifier) == 0) {
+        diags.error(codes::kUnknownIdentifier,
+                    {expr.line, expr.column,
+                     static_cast<int>(expr.identifier.size())},
+                    "unknown parameter '" + expr.identifier + "'",
+                    "declare it first: param " + expr.identifier + " = ...;");
       }
       return std::nullopt;
     }
@@ -67,11 +65,9 @@ std::optional<double> eval_expr(const Expr& expr,
         case '/':
         case '%':
           if (*b == 0.0) {
-            if (diags != nullptr) {
-              diags->error(codes::kDivisionByZero, expr_span(expr),
-                           expr.op == '/' ? "division by zero"
-                                          : "modulo by zero");
-            }
+            diags.error(codes::kDivisionByZero, expr_span(expr),
+                        expr.op == '/' ? "division by zero"
+                                       : "modulo by zero");
             return std::nullopt;
           }
           return expr.op == '/' ? *a / *b : std::fmod(*a, *b);
@@ -81,9 +77,7 @@ std::optional<double> eval_expr(const Expr& expr,
       break;
     }
   }
-  if (diags != nullptr) {
-    diags->error(codes::kSyntax, expr_span(expr), "malformed expression node");
-  }
+  diags.error(codes::kSyntax, expr_span(expr), "malformed expression node");
   return std::nullopt;
 }
 
@@ -150,7 +144,7 @@ class Analyzer {
   }
 
   [[nodiscard]] std::optional<double> eval(const Expr& expr) {
-    return eval_expr(expr, out_.params, &poisoned_params_, &diags_);
+    return eval_expr(expr, out_.params, poisoned_params_, diags_);
   }
 
   [[nodiscard]] DiagnosticEngine& diags() { return diags_; }

@@ -5,6 +5,8 @@
 #include <sstream>
 #include <utility>
 
+#include "dvf/common/string_util.hpp"
+
 namespace dvf::dsl {
 
 const char* to_string(Severity severity) noexcept {
@@ -133,40 +135,16 @@ std::string render_human(std::span<const Diagnostic> diagnostics,
   return out.str();
 }
 
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char ch : text) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(ch)));
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-  return out;
-}
-
 std::string render_json_object(const Diagnostic& d,
                                std::string_view filename) {
   std::ostringstream out;
-  out << "{\"file\":\"" << json_escape(filename) << "\""
+  out << "{\"file\":" << json_escape_string(filename)
       << ",\"line\":" << d.span.line << ",\"column\":" << d.span.column
       << ",\"length\":" << d.span.length << ",\"severity\":\""
       << to_string(d.severity) << "\",\"code\":\"" << d.code
-      << "\",\"message\":\"" << json_escape(d.message) << "\"";
+      << "\",\"message\":" << json_escape_string(d.message);
   if (!d.hint.empty()) {
-    out << ",\"hint\":\"" << json_escape(d.hint) << "\"";
+    out << ",\"hint\":" << json_escape_string(d.hint);
   }
   out << "}";
   return out.str();

@@ -151,7 +151,4 @@ class DiagnosticEngine {
 [[nodiscard]] std::string render_json_object(const Diagnostic& diagnostic,
                                              std::string_view filename);
 
-/// JSON string-body escaping (quotes, backslashes, control characters).
-[[nodiscard]] std::string json_escape(std::string_view text);
-
 }  // namespace dvf::dsl

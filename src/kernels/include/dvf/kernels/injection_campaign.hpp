@@ -43,14 +43,6 @@ struct StructureInjectionStats {
   /// trials_per_structure (its Wilson CI converged).
   bool early_stopped = false;
 
-  /// Unconditional corruption rate, corrupted / trials. Diluted by trials
-  /// whose trigger never fired; kept for backwards comparability — rank
-  /// comparisons against DVF should use corruption_rate_injected().
-  [[nodiscard]] double corruption_rate() const noexcept {
-    return trials == 0 ? 0.0
-                       : static_cast<double>(corrupted) /
-                             static_cast<double>(trials);
-  }
   /// Corruption rate conditioned on the fault actually landing,
   /// corrupted / injected — the per-flip vulnerability the taxonomy papers
   /// (and the DVF comparison) care about.

@@ -7,8 +7,8 @@
 //    allocated and no memory is touched beyond that load. The cache
 //    simulator, the DSL front end and the campaign engine are instrumented
 //    at call granularity (never per memory reference), so the disabled
-//    path costs ≤ 2% of BENCH_cachesim throughput (pinned by
-//    bench/obs_overhead and bench/cachesim_throughput).
+//    path costs ≤ 2% of BENCH_cachesim throughput (bench/cachesim_throughput
+//    prices the enabled replay and each primitive).
 //  - **Metrics are sharded per thread and lock-free.** A counter increment
 //    or histogram observation is one relaxed atomic add in a per-thread
 //    shard; shards are only summed at report time (snapshot_metrics).

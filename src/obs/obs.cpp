@@ -4,7 +4,6 @@
 #include <array>
 #include <bit>
 #include <chrono>
-#include <cstdio>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -13,6 +12,7 @@
 
 #include "dvf/common/error.hpp"
 #include "dvf/common/failpoint.hpp"
+#include "dvf/common/string_util.hpp"
 #include "dvf/report/table.hpp"
 
 namespace dvf::obs {
@@ -98,35 +98,6 @@ std::uint32_t register_name(std::vector<std::string>& names,
   }
   names.emplace_back(name);
   return static_cast<std::uint32_t>(names.size() - 1);
-}
-
-void append_json_string(std::string& out, std::string_view text) {
-  out += '"';
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
 }
 
 std::string format_double(double value) {
@@ -377,7 +348,7 @@ std::string render_metrics_json(const MetricsSnapshot& snapshot) {
   for (const auto& [name, value] : snapshot.counters) {
     out += first ? "" : ", ";
     first = false;
-    append_json_string(out, name);
+    out += json_escape_string(name);
     out += ": " + std::to_string(value);
   }
   out += "}, \"gauges\": {";
@@ -385,7 +356,7 @@ std::string render_metrics_json(const MetricsSnapshot& snapshot) {
   for (const auto& [name, value] : snapshot.gauges) {
     out += first ? "" : ", ";
     first = false;
-    append_json_string(out, name);
+    out += json_escape_string(name);
     out += ": " + format_double(value);
   }
   out += "}, \"histograms\": {";
@@ -393,7 +364,7 @@ std::string render_metrics_json(const MetricsSnapshot& snapshot) {
   for (const HistogramSnapshot& hist : snapshot.histograms) {
     out += first ? "" : ", ";
     first = false;
-    append_json_string(out, hist.name);
+    out += json_escape_string(hist.name);
     out += ": {\"count\": " + std::to_string(hist.count) +
            ", \"sum\": " + std::to_string(hist.sum) + ", \"buckets\": [";
     for (std::size_t b = 0; b < hist.buckets.size(); ++b) {

@@ -5,33 +5,11 @@
 #include "dvf/common/error.hpp"
 #include "dvf/common/failpoint.hpp"
 #include "dvf/common/robust_io.hpp"
+#include "dvf/common/string_util.hpp"
 
 namespace dvf::obs {
 
 namespace {
-
-void append_escaped(std::string& out, std::string_view text) {
-  out += '"';
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
 
 /// ts/dur are microseconds in the trace-event format; keep nanosecond
 /// precision as a fixed three-decimal fraction.
@@ -61,7 +39,7 @@ std::string render_chrome_trace(const std::vector<SpanRecord>& spans,
     std::string meta =
         "{\"ph\": \"M\", \"name\": \"process_name\", \"pid\": 1, \"tid\": 0, "
         "\"args\": {\"name\": ";
-    append_escaped(meta, process_name);
+    meta += json_escape_string(process_name);
     meta += "}}";
     emit(meta);
   }
@@ -72,8 +50,8 @@ std::string render_chrome_trace(const std::vector<SpanRecord>& spans,
     std::string meta = "{\"ph\": \"M\", \"name\": \"thread_name\", \"pid\": 1, "
                        "\"tid\": " + std::to_string(tid) + ", \"args\": "
                        "{\"name\": ";
-    append_escaped(meta,
-                   thread_names[tid].empty() ? "main" : thread_names[tid]);
+    meta += json_escape_string(thread_names[tid].empty() ? "main"
+                                                         : thread_names[tid]);
     meta += "}}";
     emit(meta);
   }
@@ -82,7 +60,7 @@ std::string render_chrome_trace(const std::vector<SpanRecord>& spans,
   for (const SpanRecord& span : spans) {
     last_ns = std::max(last_ns, span.end_ns);
     std::string event = "{\"ph\": \"X\", \"name\": ";
-    append_escaped(event, span.name);
+    event += json_escape_string(span.name);
     event += ", \"cat\": \"dvf\", \"pid\": 1, \"tid\": " +
              std::to_string(span.tid) + ", \"ts\": " + micros(span.start_ns) +
              ", \"dur\": " + micros(span.end_ns - span.start_ns) +
@@ -95,7 +73,7 @@ std::string render_chrome_trace(const std::vector<SpanRecord>& spans,
   // Final counter samples, so the totals are visible on the trace timeline.
   for (const auto& [name, value] : metrics.counters) {
     std::string event = "{\"ph\": \"C\", \"name\": ";
-    append_escaped(event, name);
+    event += json_escape_string(name);
     event += ", \"pid\": 1, \"tid\": 0, \"ts\": " + micros(last_ns) +
              ", \"args\": {\"value\": " + std::to_string(value) + "}}";
     emit(event);

@@ -24,6 +24,8 @@
 #include <utility>
 #include <vector>
 
+#include "dvf/common/string_util.hpp"
+
 namespace dvf::serve {
 
 /// One decoded JSON value. A tagged aggregate rather than a variant so the
@@ -79,12 +81,9 @@ struct JsonParsed {
 [[nodiscard]] JsonParsed parse_json(std::string_view text,
                                     std::size_t max_depth = 64);
 
-/// `text` as a quoted JSON string literal (escapes ", \, control chars).
-[[nodiscard]] std::string json_escape_string(std::string_view text);
-
-/// A double as a JSON number token (17 significant digits, round-trip
-/// exact). Non-finite values — which the evaluation layer never lets
-/// escape — encode as null so the wire never carries a bare inf/nan token.
-[[nodiscard]] std::string json_number(double value);
+// The encoders live in dvf_common (string_util.hpp), shared by every JSON
+// writer in the project; these names keep the serve-side spelling.
+using dvf::json_escape_string;
+using dvf::json_number;
 
 }  // namespace dvf::serve

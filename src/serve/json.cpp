@@ -1,8 +1,6 @@
 #include "dvf/serve/json.hpp"
 
 #include <charconv>
-#include <cmath>
-#include <cstdio>
 
 namespace dvf::serve {
 
@@ -359,45 +357,6 @@ class Decoder {
 
 JsonParsed parse_json(std::string_view text, std::size_t max_depth) {
   return Decoder(text, max_depth).run();
-}
-
-std::string json_escape_string(std::string_view text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  out.push_back('"');
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-  return out;
-}
-
-std::string json_number(double value) {
-  if (!std::isfinite(value)) {
-    return "null";
-  }
-  // General format at precision 17 is defined to match printf's "%.17g".
-  char buf[32];
-  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, value,
-                                       std::chars_format::general, 17);
-  return std::string(buf, end);
 }
 
 }  // namespace dvf::serve

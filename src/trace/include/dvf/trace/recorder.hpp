@@ -97,23 +97,4 @@ class TraceBuffer {
 };
 static_assert(RecorderLike<TraceBuffer>);
 
-/// Fans one reference stream out to two recorders (e.g. count + simulate).
-template <RecorderLike A, RecorderLike B>
-class TeeRecorder {
- public:
-  TeeRecorder(A& a, B& b) : a_(&a), b_(&b) {}
-  void on_load(DsId ds, std::uint64_t addr, std::uint32_t bytes) {
-    a_->on_load(ds, addr, bytes);
-    b_->on_load(ds, addr, bytes);
-  }
-  void on_store(DsId ds, std::uint64_t addr, std::uint32_t bytes) {
-    a_->on_store(ds, addr, bytes);
-    b_->on_store(ds, addr, bytes);
-  }
-
- private:
-  A* a_;
-  B* b_;
-};
-
 }  // namespace dvf

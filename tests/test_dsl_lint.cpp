@@ -202,11 +202,6 @@ TEST(DiagnosticRendering, UnderlineClampsToLineEnd) {
 }
 
 TEST(DiagnosticRendering, JsonEscapesControlAndQuoteCharacters) {
-  EXPECT_EQ(json_escape("plain"), "plain");
-  EXPECT_EQ(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-  EXPECT_EQ(json_escape("x\n\t\r"), "x\\n\\t\\r");
-  EXPECT_EQ(json_escape(std::string_view("\x01", 1)), "\\u0001");
-
   DiagnosticEngine diags;
   diags.error(codes::kSyntax, {2, 3, 4}, "expected '\"'", "quote \"it\"");
   const std::string json = render_json(diags.diagnostics(), "a\"b.aspen");

@@ -157,11 +157,6 @@ TEST(KahanSum, RecoversSmallAddendsLostByNaiveSummation) {
   EXPECT_NEAR(sum.value(), 1.0 + 1e-9, 1e-12);
 }
 
-TEST(StableSum, MatchesKahan) {
-  std::vector<double> xs(1000, 0.1);
-  EXPECT_NEAR(stable_sum(xs), 100.0, 1e-12);
-}
-
 TEST(CeilDiv, Basics) {
   EXPECT_EQ(ceil_div(0, 4), 0u);
   EXPECT_EQ(ceil_div(1, 4), 1u);
@@ -173,11 +168,6 @@ TEST(RelativeError, Conventions) {
   EXPECT_EQ(relative_error(0.0, 0.0), 0.0);
   EXPECT_TRUE(std::isinf(relative_error(1.0, 0.0)));
   EXPECT_NEAR(relative_error(110.0, 100.0), 0.1, 1e-12);
-}
-
-TEST(ApproxEqual, ScalesWithMagnitude) {
-  EXPECT_TRUE(approx_equal(1e12, 1e12 + 1.0, 1e-9));
-  EXPECT_FALSE(approx_equal(1.0, 1.1, 1e-9));
 }
 
 TEST(WilsonHalfWidth, NoDataMeansMaximalUncertainty) {

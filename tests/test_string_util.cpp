@@ -1,35 +1,11 @@
-// Unit tests for the string utilities used by the DSL and reporters.
+// Unit tests for the string utilities used by the reporters and the JSON
+// writers.
 #include "dvf/common/string_util.hpp"
 
 #include <gtest/gtest.h>
 
 namespace dvf {
 namespace {
-
-TEST(Split, PreservesEmptyFields) {
-  EXPECT_EQ(split("a,b,c", ','), (std::vector<std::string>{"a", "b", "c"}));
-  EXPECT_EQ(split(",x,", ','), (std::vector<std::string>{"", "x", ""}));
-  EXPECT_EQ(split("", ','), (std::vector<std::string>{""}));
-}
-
-TEST(Trim, RemovesOuterWhitespaceOnly) {
-  EXPECT_EQ(trim("  hello \t\n"), "hello");
-  EXPECT_EQ(trim("a b"), "a b");
-  EXPECT_EQ(trim("   "), "");
-  EXPECT_EQ(trim(""), "");
-}
-
-TEST(StartsWith, Basics) {
-  EXPECT_TRUE(starts_with("pattern", "pat"));
-  EXPECT_FALSE(starts_with("pat", "pattern"));
-  EXPECT_TRUE(starts_with("x", ""));
-}
-
-TEST(Join, WithSeparator) {
-  EXPECT_EQ(join({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(join({}, ","), "");
-  EXPECT_EQ(join({"solo"}, ","), "solo");
-}
 
 TEST(FormatSignificant, RoundsToSignificantDigits) {
   EXPECT_EQ(format_significant(1234.5678, 4), "1235");
@@ -44,6 +20,13 @@ TEST(FormatSignificant, SpecialValues) {
             "inf");
   EXPECT_EQ(format_significant(-std::numeric_limits<double>::infinity()),
             "-inf");
+}
+
+TEST(JsonEscapeString, EscapesQuotesBackslashesAndControlCharacters) {
+  EXPECT_EQ(json_escape_string("plain"), "\"plain\"");
+  EXPECT_EQ(json_escape_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
+  EXPECT_EQ(json_escape_string("x\n\t\r"), "\"x\\n\\t\\r\"");
+  EXPECT_EQ(json_escape_string(std::string_view("\x01", 1)), "\"\\u0001\"");
 }
 
 }  // namespace

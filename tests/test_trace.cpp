@@ -73,16 +73,6 @@ TEST(TraceBuffer, RecordsInOrder) {
   EXPECT_TRUE(buffer.records().empty());
 }
 
-TEST(TeeRecorder, FansOut) {
-  CountingRecorder a;
-  TraceBuffer b;
-  TeeRecorder tee(a, b);
-  tee.on_load(0, 0, 8);
-  tee.on_store(1, 8, 8);
-  EXPECT_EQ(a.total_references(), 2u);
-  EXPECT_EQ(b.records().size(), 2u);
-}
-
 TEST(AlignedBuffer, PageAlignedAndZeroed) {
   AlignedBuffer<double> buf(1000);
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(buf.data()) % 4096, 0u);

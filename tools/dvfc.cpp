@@ -39,6 +39,7 @@
 #include "dvf/common/failpoint.hpp"
 #include "dvf/common/math.hpp"
 #include "dvf/common/robust_io.hpp"
+#include "dvf/common/string_util.hpp"
 #include "dvf/dsl/analysis.hpp"
 #include "dvf/dsl/analyzer.hpp"
 #include "dvf/dsl/diagnostics.hpp"
@@ -550,20 +551,10 @@ int cmd_lint(const Args& args) {
   return errors > 0 || (werror && warnings > 0) ? 1 : 0;
 }
 
-// Interval endpoint as JSON; infinite bounds (unbounded above) render as
-// null so consumers never meet a bare `inf` token.
-std::string json_bound(double v) {
-  if (!std::isfinite(v)) {
-    return "null";
-  }
-  std::ostringstream out;
-  out.precision(17);
-  out << v;
-  return out.str();
-}
-
 std::string json_interval(const dvf::analysis::Interval& iv) {
-  return "{\"lo\":" + json_bound(iv.lo) + ",\"hi\":" + json_bound(iv.hi) +
+  // Infinite bounds (unbounded above) render as null, never a bare `inf`.
+  return "{\"lo\":" + dvf::json_number(iv.lo) +
+         ",\"hi\":" + dvf::json_number(iv.hi) +
          ",\"exact\":" + (iv.is_point() ? "true" : "false") + "}";
 }
 
@@ -584,21 +575,21 @@ std::string show_interval(const dvf::analysis::Interval& iv) {
 std::string analyze_json_object(const std::string& file,
                                 const dvf::dsl::SemanticAnalysis& result) {
   std::ostringstream out;
-  out << "{\"file\":\"" << dvf::dsl::json_escape(file) << "\"";
+  out << "{\"file\":" << dvf::json_escape_string(file);
   if (result.report.has_value()) {
     const dvf::analysis::AnalysisReport& report = *result.report;
     out << ",\"canonical_hash\":\""
         << dvf::serve::hash_hex(report.canonical_hash) << "\"";
     out << ",\"machines\":[";
     for (std::size_t i = 0; i < report.machines.size(); ++i) {
-      out << (i == 0 ? "" : ",") << "\""
-          << dvf::dsl::json_escape(report.machines[i]) << "\"";
+      out << (i == 0 ? "" : ",")
+          << dvf::json_escape_string(report.machines[i]);
     }
     out << "],\"models\":[";
     for (std::size_t m = 0; m < report.models.size(); ++m) {
       const dvf::analysis::ModelBounds& model = report.models[m];
-      out << (m == 0 ? "" : ",") << "{\"name\":\""
-          << dvf::dsl::json_escape(model.name) << "\",\"dvf\":"
+      out << (m == 0 ? "" : ",") << "{\"name\":"
+          << dvf::json_escape_string(model.name) << ",\"dvf\":"
           << json_interval(model.dvf) << ",\"structures\":[";
       for (std::size_t s = 0; s < model.structures.size(); ++s) {
         const dvf::analysis::StructureBounds& ds = model.structures[s];
@@ -606,8 +597,8 @@ std::string analyze_json_object(const std::string& file,
         for (const auto& pm : ds.per_machine) {
           exact = exact && pm.exact;
         }
-        out << (s == 0 ? "" : ",") << "{\"name\":\""
-            << dvf::dsl::json_escape(ds.name) << "\""
+        out << (s == 0 ? "" : ",") << "{\"name\":"
+            << dvf::json_escape_string(ds.name)
             << ",\"size_bytes\":" << ds.size_bytes
             << ",\"n_ha\":" << json_interval(ds.n_ha)
             << ",\"dvf\":" << json_interval(ds.dvf)
@@ -867,8 +858,9 @@ int cmd_campaign(const Args& args) {
     for (const auto& s : stats) {
       std::ostringstream out;
       out.precision(12);
-      out << "{\"kernel\": \"" << kernel->name() << "\", \"structure\": \""
-          << s.structure << "\", \"trials\": " << s.trials
+      out << "{\"kernel\": " << dvf::json_escape_string(kernel->name())
+          << ", \"structure\": " << dvf::json_escape_string(s.structure)
+          << ", \"trials\": " << s.trials
           << ", \"injected\": " << s.injected << ", \"masked\": " << s.masked
           << ", \"sdc\": " << s.sdc
           << ", \"due_exception\": " << s.due_exception
