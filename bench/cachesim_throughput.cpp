@@ -27,6 +27,7 @@
 #include <string>
 #include <thread>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "bench_json.hpp"
@@ -35,6 +36,7 @@
 #include "dvf/cachesim/sharded_replay.hpp"
 #include "dvf/common/failpoint.hpp"
 #include "dvf/common/rng.hpp"
+#include "dvf/dsl/analyzer.hpp"
 #include "dvf/kernels/kernel_common.hpp"
 #include "dvf/kernels/vm.hpp"
 #include "dvf/machine/cache_config.hpp"
@@ -78,7 +80,8 @@ std::pair<double, std::uint64_t> ns_per_call(Fn&& fn, double min_seconds) {
   }
 }
 
-/// A stencil-like template: 5 references per point over an n^3 grid.
+/// A stencil-like template written out as an explicit reference string:
+/// 5 references per point over an n^3 grid.
 dvf::TemplateSpec stencil_template(std::uint64_t n) {
   dvf::TemplateSpec spec;
   spec.element_bytes = 8;
@@ -86,15 +89,37 @@ dvf::TemplateSpec stencil_template(std::uint64_t n) {
     for (std::uint64_t j = 1; j + 1 < n; ++j) {
       for (std::uint64_t k = 0; k < n; ++k) {
         const std::uint64_t center = (i * n + j) * n + k;
-        spec.element_indices.push_back(center - n);
-        spec.element_indices.push_back(center + n);
-        spec.element_indices.push_back(center - n * n);
-        spec.element_indices.push_back(center + n * n);
-        spec.element_indices.push_back(center);
+        spec.starts.push_back(center - n);
+        spec.starts.push_back(center + n);
+        spec.starts.push_back(center - n * n);
+        spec.starts.push_back(center + n * n);
+        spec.starts.push_back(center);
       }
     }
   }
   return spec;
+}
+
+/// The MG smoother sweep of models/mg.aspen on an n^3 grid of 16-byte
+/// cells, in its DSL form (four stencil references advancing one cell per
+/// iteration), with a 1/64 cache share the sweep does not fit and 4 sweeps.
+dvf::TemplateSpec mg_progression(std::uint64_t n) {
+  const dvf::dsl::CompiledProgram program = dvf::dsl::compile(
+      "param n = " + std::to_string(n) + R"dsl(;
+model "MG" {
+  time 1;
+  data R { elements n * n * n; element_size 16; }
+  pattern R template {
+    start (2*n*n + 1, 2*n*n + 2*n + 1, n*n + n + 1, 2*n*n + n + 1);
+    step 1;
+    count n * (n - 2);
+    repeat 4;
+    ratio 1 / 64;
+  }
+}
+)dsl");
+  return std::get<dvf::TemplateSpec>(
+      program.models.front().structures.front().patterns.front());
 }
 
 std::vector<dvf::MemoryRecord> make_trace(std::uint64_t accesses,
@@ -365,9 +390,15 @@ int main() {
     Record r = model_record("template", std::to_string(n), [&](const auto& c) {
       return dvf::try_estimate_template(spec, c);
     });
-    r.field("grid_edge", n)
-        .field("references",
-               static_cast<std::uint64_t>(spec.element_indices.size()));
+    r.field("grid_edge", n).field("references", spec.length());
+    json.add(r);
+  }
+  {
+    const dvf::TemplateSpec spec = mg_progression(64);
+    Record r = model_record("template", "stencil_64", [&](const auto& c) {
+      return dvf::try_estimate_template(spec, c);
+    });
+    r.field("grid_edge", std::uint64_t{64}).field("references", spec.length());
     json.add(r);
   }
   for (const std::uint64_t bytes : sizes({64 * 1024, 16 * 1024 * 1024})) {

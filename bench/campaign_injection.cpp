@@ -7,7 +7,13 @@
 // flips per data structure (random site, random time) vs the structures'
 // DVFs, plus the Spearman rank correlation between the two orderings and
 // the wall-clock cost of each methodology.
+//
+// Set DVF_BENCH_QUICK=1 for a 10x-smaller campaign (CI smoke). Every
+// BENCH_campaign.json record names its scenario, <study>_<kernel>[_<mode>]
+// [_t<threads>], and carries the trial rate as `accesses_per_s`, the
+// throughput field scripts/check_bench_json.py asks of timed records.
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -26,6 +32,16 @@
 #include "dvf/report/table.hpp"
 
 namespace {
+
+bool quick_mode() {
+  const char* quick = std::getenv("DVF_BENCH_QUICK");
+  return quick != nullptr && *quick != '\0' && *quick != '0';
+}
+
+/// Trials per structure: `full`, or a tenth of it in quick mode.
+std::uint64_t scaled_trials(std::uint64_t full) {
+  return quick_mode() ? std::max<std::uint64_t>(1, full / 10) : full;
+}
 
 bool identical(const std::vector<dvf::kernels::StructureInjectionStats>& a,
                const std::vector<dvf::kernels::StructureInjectionStats>& b) {
@@ -64,7 +80,7 @@ void overhead_study(dvf::bench::JsonRecords& json) {
       continue;
     }
     dvf::kernels::CampaignConfig base;
-    base.trials_per_structure = 400;
+    base.trials_per_structure = scaled_trials(400);
     (void)dvf::kernels::run_injection_campaign(*kernel, base);  // warm-up
 
     const std::string journal_path =
@@ -104,7 +120,11 @@ void overhead_study(dvf::bench::JsonRecords& json) {
                      dvf::num(seconds, 3),
                      dvf::num(static_cast<double>(trials) / seconds, 1),
                      dvf::num(overhead, 1)});
+      std::string mode_name = mode.name;
+      std::replace(mode_name.begin(), mode_name.end(), '+', '_');
       json.add(dvf::bench::JsonRecords::Record{}
+                   .field("scenario",
+                          "overhead_" + kernel->name() + "_" + mode_name)
                    .field("study", "overhead")
                    .field("kernel", kernel->name())
                    .field("mode", mode.name)
@@ -112,6 +132,8 @@ void overhead_study(dvf::bench::JsonRecords& json) {
                    .field("sdc", sdc)
                    .field("due", due)
                    .field("wall_s", seconds)
+                   .field("accesses_per_s",
+                          static_cast<double>(trials) / seconds)
                    .field("overhead_pct", overhead));
       if (mode.journal) {
         std::remove(journal_path.c_str());
@@ -147,7 +169,7 @@ void scaling_study(dvf::bench::JsonRecords& json) {
       continue;
     }
     dvf::kernels::CampaignConfig config;
-    config.trials_per_structure = 400;
+    config.trials_per_structure = scaled_trials(400);
 
     // Untimed warm-up so the serial baseline does not absorb one-off costs
     // (page faults, allocator growth, instruction-cache fill) that would
@@ -178,10 +200,14 @@ void scaling_study(dvf::bench::JsonRecords& json) {
                      dvf::num(serial_seconds / seconds, 2),
                      same ? "yes" : "NO"});
       json.add(dvf::bench::JsonRecords::Record{}
+                   .field("scenario", "scaling_" + kernel->name() + "_t" +
+                                          std::to_string(threads))
+                   .field("study", "scaling")
                    .field("kernel", kernel->name())
                    .field("threads", threads)
                    .field("trials", trials)
                    .field("wall_s", seconds)
+                   .field("accesses_per_s", rate)
                    .field("trials_per_s", rate)
                    .field("speedup_vs_serial", serial_seconds / seconds)
                    .field("bit_identical", same ? "yes" : "no"));
@@ -222,8 +248,8 @@ int main() {
     // The campaign re-runs the kernel trials*structures times; keep the
     // expensive kernels affordable.
     dvf::kernels::CampaignConfig config;
-    config.trials_per_structure =
-        (kernel->name() == "CG" || kernel->name() == "MG") ? 40 : 200;
+    config.trials_per_structure = scaled_trials(
+        (kernel->name() == "CG" || kernel->name() == "MG") ? 40 : 200);
 
     const dvf::kernels::Stopwatch injection_watch;
     const auto stats = dvf::kernels::run_injection_campaign(*kernel, config);

@@ -10,6 +10,7 @@
 #include <iostream>
 #include <iterator>
 #include <limits>
+#include <optional>
 #include <span>
 #include <sstream>
 #include <string>
@@ -412,7 +413,11 @@ PatternSpec adversarial_spec(Xoshiro256& rng) {
       s.cache_ratio = adversarial_double(rng);
       s.distance = rng.below(2) == 0 ? DistanceKind::kStack : DistanceKind::kRaw;
       for (std::uint64_t i = rng.below(64); i > 0; --i) {
-        s.element_indices.push_back(adversarial_u64(rng));
+        s.starts.push_back(adversarial_u64(rng));
+      }
+      if (rng.below(2) == 0) {
+        s.step = static_cast<std::int64_t>(adversarial_u64(rng));
+        s.count = adversarial_u64(rng);
       }
       return s;
     }
@@ -498,10 +503,10 @@ void check_eval_case(std::uint64_t index, Xoshiro256& rng, FuzzReport& report,
                             : static_cast<std::int64_t>(rng.below(100)) - 50;
       const std::uint64_t count = adversarial_u64(rng);
       expect_total(label, report, options, [&] {
-        const auto result = dsl::try_expand_progression(
+        const auto result = dsl::try_progression(
             std::span<const std::int64_t>(start), step, count, &budget);
         if (result.ok() &&
-            result.value().size() > case_limits().max_expansion) {
+            result.value().length() > case_limits().max_expansion) {
           record(report, options, label + ": expansion exceeded its budget");
         }
       });
@@ -634,7 +639,7 @@ void check_oracle_template(const std::string& label, Xoshiro256& rng,
       const std::uint64_t blocks =
           rng.below(2) == 0 ? 16 + rng.below(180) : 320 + rng.below(2048);
       for (std::uint64_t i = 0; i < blocks; ++i) {
-        spec.element_indices.push_back(i);
+        spec.starts.push_back(i);
       }
       break;
     }
@@ -646,7 +651,7 @@ void check_oracle_template(const std::string& label, Xoshiro256& rng,
         const std::uint64_t base = rng.below(working_set);
         const std::uint64_t length = 1 + rng.below(working_set - base);
         for (std::uint64_t i = 0; i < length; ++i) {
-          spec.element_indices.push_back(base + i);
+          spec.starts.push_back(base + i);
         }
       }
       break;
@@ -658,11 +663,11 @@ void check_oracle_template(const std::string& label, Xoshiro256& rng,
       for (std::uint64_t i = 1; i + 1 < n; ++i) {
         for (std::uint64_t j = 1; j + 1 < n; ++j) {
           const std::uint64_t center = i * n + j;
-          spec.element_indices.push_back(center - 1);
-          spec.element_indices.push_back(center + 1);
-          spec.element_indices.push_back(center - n);
-          spec.element_indices.push_back(center + n);
-          spec.element_indices.push_back(center);
+          spec.starts.push_back(center - 1);
+          spec.starts.push_back(center + 1);
+          spec.starts.push_back(center - n);
+          spec.starts.push_back(center + n);
+          spec.starts.push_back(center);
         }
       }
       break;
@@ -672,15 +677,121 @@ void check_oracle_template(const std::string& label, Xoshiro256& rng,
   const CacheConfig cache = cache8k();
   CacheSimulator sim(cache);
   for (std::uint64_t rep = 0; rep < spec.repetitions; ++rep) {
-    for (const std::uint64_t idx : spec.element_indices) {
+    spec.for_each_index([&](std::uint64_t idx) {
       sim.on_load(0, idx * spec.element_bytes, spec.element_bytes);
-    }
+    });
   }
   const double predicted = try_estimate_template(spec, cache).value_or_throw();
   const double simulated = static_cast<double>(sim.stats(0).misses);
   if (math::relative_error(predicted, simulated) > kTemplateOracleTolerance) {
     oracle_finding(report, options, label, "template", predicted, simulated,
                    kTemplateOracleTolerance);
+  }
+}
+
+/// Differential for the template family: a random progression against the
+/// same reference string written out explicitly (count 1), which takes the
+/// full expand-intern-replay path. The two must agree number for number. A
+/// progression that walks out of the index range (below element 0, or past
+/// the last element 64-bit byte addresses reach) must be refused at the
+/// position a scan of its references finds first.
+void check_template_collapse(const std::string& label, Xoshiro256& rng,
+                             FuzzReport& report, const FuzzOptions& options) {
+  TemplateSpec progression;
+  // Element sizes that straddle lines (24, 48, 100) next to ones that tile.
+  static constexpr std::uint32_t kSizes[] = {4, 8, 16, 24, 48, 100, 256};
+  progression.element_bytes = kSizes[rng.below(7)];
+  // Now and then a step of 2^40..2^62 elements, which can leave the index
+  // range in a few iterations, in either direction.
+  const bool far = rng.below(16) == 0;
+  const std::uint64_t magnitude = far ? std::uint64_t{1} << (40 + rng.below(23))
+                                      : rng.below(5);  // 0..4
+  const bool down = rng.below(2) == 0;
+  progression.step = down ? -static_cast<std::int64_t>(magnitude)
+                          : static_cast<std::int64_t>(magnitude);
+  progression.count = 2 + rng.below(1500);
+  progression.repetitions = 1 + rng.below(4);
+  const std::uint64_t reach = down && !far ? (progression.count - 1) * magnitude
+                                           : 0;
+  for (std::uint64_t j = 1 + rng.below(6); j > 0; --j) {
+    // Negative steps start high enough to stay at or above element 0,
+    // except now and then, when the walk must fail the same way twice.
+    const std::uint64_t floor = rng.below(16) == 0 ? 0 : reach;
+    progression.starts.push_back(floor + rng.below(4096));
+  }
+  progression.distance =
+      rng.below(4) == 0 ? DistanceKind::kRaw : DistanceKind::kStack;
+  const CacheConfig cache = random_cache(rng);
+
+  // The first string position whose index leaves [0, max_index].
+  const std::uint64_t max_index =
+      (~std::uint64_t{0} - (progression.element_bytes - 1)) /
+      progression.element_bytes;
+  std::optional<std::uint64_t> outside;
+  for (std::uint64_t r = 0; r < progression.count && !outside; ++r) {
+    for (std::size_t j = 0; j < progression.starts.size(); ++j) {
+      const std::uint64_t start = progression.starts[j];
+      std::uint64_t moved = 0;
+      if (__builtin_mul_overflow(r, magnitude, &moved) ||
+          start > max_index ||
+          (down ? moved > start : moved > max_index - start)) {
+        outside = r * progression.starts.size() + j;
+        break;
+      }
+    }
+  }
+  if (const Result<void> valid = try_check_template_indices(progression);
+      !valid.ok() || outside) {
+    const Result<double> got = try_estimate_template(progression, cache);
+    const std::string at =
+        outside ? "position " + std::to_string(*outside) + " " : "";
+    if (!outside || valid.ok() ||
+        valid.error().message.find(at) == std::string::npos || got.ok() ||
+        got.error().kind != valid.error().kind) {
+      std::ostringstream out;
+      out << label << ": template progression (E "
+          << progression.element_bytes << ", step " << progression.step
+          << ", count " << progression.count << ") leaves the index range at "
+          << (outside ? std::to_string(*outside) : "no position")
+          << ", the index check says "
+          << (valid.ok() ? "ok" : valid.error().describe());
+      record(report, options, out.str());
+    }
+    return;
+  }
+  TemplateSpec expanded = progression;
+  expanded.starts.clear();
+  expanded.count = 1;
+  progression.for_each_index(
+      [&](std::uint64_t idx) { expanded.starts.push_back(idx); });
+
+  // Capacities 0, below the distinct count, and at or above it.
+  const std::uint64_t distinct =
+      template_footprint(progression, cache.line_bytes()).distinct;
+  const std::uint64_t capacity =
+      rng.below(8) == 0 ? 0
+      : rng.below(3) == 0
+          ? distinct + rng.below(64)
+          : 1 + rng.below(std::max<std::uint64_t>(1, distinct));
+  progression.cache_ratio =
+      std::min(1.0, (static_cast<double>(capacity) + 0.5) /
+                        static_cast<double>(cache.total_blocks()));
+  expanded.cache_ratio = progression.cache_ratio;
+
+  const Result<double> got = try_estimate_template(progression, cache);
+  const Result<double> want = try_estimate_template(expanded, cache);
+  if (got.ok() != want.ok() ||
+      (got.ok() ? *got != *want : got.error().kind != want.error().kind)) {
+    std::ostringstream out;
+    out << label << ": template progression (E " << progression.element_bytes
+        << ", step " << progression.step << ", count " << progression.count
+        << ", R " << progression.repetitions << ", capacity " << capacity
+        << " of " << distinct << " distinct) on " << cache.describe()
+        << " gives "
+        << (got.ok() ? std::to_string(*got) : got.error().describe())
+        << ", its expansion "
+        << (want.ok() ? std::to_string(*want) : want.error().describe());
+    record(report, options, out.str());
   }
 }
 
@@ -1399,7 +1510,10 @@ FuzzReport fuzz_oracle(const FuzzOptions& options) {
       switch (rng.below(5)) {
         case 0: check_oracle_streaming(label, rng, report, options); break;
         case 1: check_oracle_random(label, rng, report, options); break;
-        case 2: check_oracle_template(label, rng, report, options); break;
+        case 2:
+          check_oracle_template(label, rng, report, options);
+          check_template_collapse(label, rng, report, options);
+          break;
         case 3: check_oracle_tiled(label, rng, report, options); break;
         default: check_oracle_reuse(label, rng, report, options); break;
       }

@@ -11,6 +11,7 @@
 #include "dvf/common/units.hpp"
 #include "dvf/obs/obs.hpp"
 #include "dvf/patterns/estimate.hpp"
+#include "dvf/patterns/template_access.hpp"
 
 namespace dvf::analysis {
 
@@ -26,8 +27,8 @@ constexpr std::size_t kExactIrmEntries = std::size_t{1} << 16;
 constexpr std::uint64_t kExactTemplateRefs = std::uint64_t{1} << 20;
 constexpr std::uint32_t kExactReuseAssoc = 128;
 /// Reference strings longer than this skip the exact distinct-block count
-/// (an O(n log n) range union) and use a cheap lower bound instead.
-constexpr std::size_t kTemplateSortCap = std::size_t{1} << 21;
+/// (a range union) and use a cheap lower bound instead.
+constexpr std::uint64_t kTemplateSortCap = std::uint64_t{1} << 21;
 
 /// Budget for the analysis' own estimator runs: generous finite caps, no
 /// deadline. Success under it implies the evaluator computes the same value
@@ -213,71 +214,37 @@ PatternFacts bounds_random(const RandomSpec& spec, const CacheConfig& cache,
 
 // ---- template ------------------------------------------------------------
 //
-// The estimator counts integer misses over the materialized block string:
-// every distinct block's first touch misses, and no replay can miss more
-// than the string length times the repetitions. Both endpoints are integer
-// facts about that counter, so u64 → double casts (monotone) carry the
-// containment without widening.
+// The estimator counts integer misses over the block string: every distinct
+// block's first touch misses, and no replay can miss more than the string
+// length times the repetitions. Both endpoints are integer facts about that
+// counter, so u64 → double casts (monotone) carry the containment without
+// widening.
 PatternFacts bounds_template(const TemplateSpec& spec,
                              const CacheConfig& cache, bool refine_exact) {
   PatternFacts facts;
   facts.zero_steady_work =
-      spec.element_indices.empty() || spec.repetitions == 0;
+      spec.starts.empty() || spec.count == 0 || spec.repetitions == 0;
 
-  if (spec.element_indices.empty() || spec.element_bytes == 0 ||
+  if (spec.starts.empty() || spec.count == 0 || spec.element_bytes == 0 ||
       !(spec.cache_ratio > 0.0 && spec.cache_ratio <= 1.0) ||
       spec.repetitions < 1) {
     mark_reject(facts, ErrorKind::kDomainError);
     return facts;
   }
-  const std::uint64_t e = spec.element_bytes;
-  const std::uint64_t max_index = (kU64Max - (e - 1)) / e;
-  for (const std::uint64_t idx : spec.element_indices) {
-    if (idx > max_index) {
-      mark_reject(facts, ErrorKind::kOverflow);
-      return facts;
-    }
+  if (const Result<void> indices = try_check_template_indices(spec);
+      !indices.ok()) {
+    mark_reject(facts, indices.error().kind);
+    return facts;
   }
 
-  const std::uint64_t cl = cache.line_bytes();
-  // Per-reference block ranges: element idx covers [first, last].
-  std::uint64_t string_len = 0;  // length of the materialized block string
-  std::uint64_t max_range = 0;   // widest single reference, a distinct lower bound
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges;
-  const bool exact_distinct = spec.element_indices.size() <= kTemplateSortCap;
-  if (exact_distinct) {
-    ranges.reserve(spec.element_indices.size());
-  }
-  for (const std::uint64_t idx : spec.element_indices) {
-    const std::uint64_t first = idx * e / cl;
-    const std::uint64_t last = (idx * e + e - 1) / cl;
-    const std::uint64_t len = last - first + 1;
-    string_len = math::saturating_add(string_len, len);
-    max_range = std::max(max_range, len);
-    if (exact_distinct) {
-      ranges.emplace_back(first, last);
-    }
-  }
-
-  std::uint64_t distinct_lo = max_range;  // sound lower bound always
-  bool distinct_is_exact = false;
-  if (exact_distinct) {
-    std::sort(ranges.begin(), ranges.end());
-    std::uint64_t distinct = 0;
-    std::uint64_t end = 0;  // one past the highest block merged so far
-    bool any = false;
-    for (const auto& [first, last] : ranges) {
-      if (!any || first >= end) {
-        distinct += last - first + 1;
-        any = true;
-      } else if (last >= end) {
-        distinct += last - (end - 1);
-      }
-      end = std::max(end, last + 1);
-    }
-    distinct_lo = distinct;
-    distinct_is_exact = true;
-  }
+  // The widest single reference is a distinct lower bound always; the exact
+  // distinct count is taken for strings up to the sort cap.
+  const bool distinct_is_exact = spec.length() <= kTemplateSortCap;
+  const TemplateFootprint footprint =
+      template_footprint(spec, cache.line_bytes(), distinct_is_exact);
+  const std::uint64_t string_len = footprint.references;
+  const std::uint64_t distinct_lo =
+      distinct_is_exact ? footprint.distinct : footprint.widest;
 
   const auto capacity_blocks = static_cast<std::uint64_t>(
       static_cast<double>(cache.total_blocks()) * spec.cache_ratio);
@@ -580,7 +547,7 @@ bool zero_steady_work(const PatternSpec& spec) noexcept {
                  (s.visits_per_iteration == 0.0 &&
                   s.sorted_visit_fractions.empty());
         } else if constexpr (std::is_same_v<T, TemplateSpec>) {
-          return s.element_indices.empty() || s.repetitions == 0;
+          return s.starts.empty() || s.count == 0 || s.repetitions == 0;
         } else if constexpr (std::is_same_v<T, TiledSpec>) {
           return false;  // passes >= 1 is a precondition; a sweep is work
         } else {

@@ -90,10 +90,10 @@ void encode_spec(Fnv1a& h, const TemplateSpec& s) {
   h.u64(s.repetitions);
   h.f64(s.cache_ratio);
   h.byte(static_cast<std::uint8_t>(s.distance));
-  h.u64(s.element_indices.size());
-  for (const std::uint64_t idx : s.element_indices) {
-    h.u64(idx);
-  }
+  // The expanded reference string, so the key depends on the string alone,
+  // not on how the progression spells it.
+  h.u64(s.length());
+  s.for_each_index([&h](std::uint64_t idx) { h.u64(idx); });
 }
 
 void encode_spec(Fnv1a& h, const ReuseSpec& s) {
@@ -121,6 +121,28 @@ std::uint64_t spec_key(const PatternSpec& spec) {
   Fnv1a h;
   std::visit([&h](const auto& s) { encode_spec(h, s); }, spec);
   return h.value();
+}
+
+/// Whether two templates spell the same element reference string.
+bool same_reference_string(const TemplateSpec& a,
+                           const TemplateSpec& b) noexcept {
+  if (a.starts == b.starts && a.count == b.count &&
+      (a.step == b.step || a.count == 1)) {
+    return true;
+  }
+  if (a.length() != b.length()) {
+    return false;
+  }
+  const auto at = [](const TemplateSpec& t, std::uint64_t position) {
+    return t.starts[position % t.starts.size()] +
+           position / t.starts.size() * static_cast<std::uint64_t>(t.step);
+  };
+  for (std::uint64_t position = 0; position < a.length(); ++position) {
+    if (at(a, position) != at(b, position)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 bool f64_equal(double a, double b) noexcept {
@@ -161,7 +183,7 @@ bool spec_equal(const PatternSpec& a, const PatternSpec& b) noexcept {
   if (const auto* ta = std::get_if<TemplateSpec>(&a)) {
     const auto& tb = std::get<TemplateSpec>(b);
     return ta->element_bytes == tb.element_bytes &&
-           ta->element_indices == tb.element_indices &&
+           same_reference_string(*ta, tb) &&
            ta->repetitions == tb.repetitions &&
            f64_equal(ta->cache_ratio, tb.cache_ratio) &&
            ta->distance == tb.distance;

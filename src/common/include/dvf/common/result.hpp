@@ -1,8 +1,8 @@
 // Total evaluation: dvf::Result<T> and the structured evaluation-error
 // taxonomy.
 //
-// The analytical evaluators (pattern models, DvfCalculator, the cache/ECC/
-// weighted layers, template expansion) have one form each: a `try_*`
+// The analytical evaluators (pattern models, DvfCalculator, the cache/ECC
+// layers, template progressions) have one form each: a `try_*`
 // function returning Result<T> that NEVER throws and never yields silent
 // NaN/Inf. A caller that wants an exception unwraps with value_or_throw().
 // The taxonomy matches the failure modes a multi-tenant evaluation service

@@ -647,19 +647,18 @@ class Analyzer {
       return false;
     }
 
-    TemplateSpec t;
-    t.element_bytes = esize;
-    // Total expansion: progressions that underflow element 0, overflow the
+    // Total validation: progressions that underflow element 0, overflow the
     // index range, or exceed the expansion budget (template bombs) all
     // degrade into a diagnostic on the start tuple instead of an exception
     // or an OOM kill.
-    auto expansion = try_expand_progression(start, *step, *count);
-    if (!expansion.ok()) {
+    auto progression = try_progression(start, *step, *count);
+    if (!progression.ok()) {
       diags_.error(codes::kTemplateOutOfBounds, tuple_span(*start_tuple),
-                   context + ": " + expansion.error().describe());
+                   context + ": " + progression.error().describe());
       return false;
     }
-    t.element_indices = *std::move(expansion);
+    TemplateSpec t = *std::move(progression);
+    t.element_bytes = esize;
     t.repetitions = *repeats;
     t.cache_ratio = *ratio;
     target->patterns.emplace_back(std::move(t));

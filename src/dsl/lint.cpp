@@ -374,12 +374,16 @@ void rule_template_bounds(LintContext& ctx) {
   for (const LoweredPattern& p : ctx.patterns) {
     const auto* t = p.spec<TemplateSpec>();
     const KeyTuple* start = find_tuple(p.decl, "start");
-    if (t == nullptr || start == nullptr || t->element_indices.empty()) {
+    if (t == nullptr || start == nullptr || t->starts.empty()) {
       continue;
     }
     const std::uint64_t elements = p.structure.size_bytes / t->element_bytes;
-    const std::uint64_t max_index = *std::max_element(
-        t->element_indices.begin(), t->element_indices.end());
+    // Lowering kept every index in range, so the last iteration reaches
+    // the top under a positive step and the first one otherwise.
+    const std::uint64_t reach =
+        t->step > 0 ? (t->count - 1) * static_cast<std::uint64_t>(t->step) : 0;
+    const std::uint64_t max_index =
+        *std::max_element(t->starts.begin(), t->starts.end()) + reach;
     if (max_index >= elements) {
       ctx.diags.error(
           codes::kTemplateOutOfBounds, tuple_span(*start),

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <limits>
 #include <string>
 
 #include "dvf/common/error.hpp"
@@ -9,44 +10,79 @@
 
 namespace dvf::dsl {
 
-Result<std::vector<std::uint64_t>> try_expand_progression(
-    std::span<const std::int64_t> start, std::int64_t step,
-    std::uint64_t count, EvalBudget* budget) {
+namespace {
+
+TemplateSpec spec_of(std::span<const std::int64_t> start, std::int64_t step,
+                     std::uint64_t count) {
+  TemplateSpec t;
+  for (const std::int64_t s : start) {
+    t.starts.push_back(static_cast<std::uint64_t>(s));
+  }
+  t.step = step;
+  t.count = count;
+  return t;
+}
+
+}  // namespace
+
+Result<TemplateSpec> try_progression(std::span<const std::int64_t> start,
+                                     std::int64_t step, std::uint64_t count,
+                                     EvalBudget* budget) {
   DVF_EVAL_REQUIRE(!start.empty(), "template progression needs a start tuple");
   DVF_EVAL_REQUIRE(count >= 1, "template progression needs count >= 1");
   // The expansion bomb guard: (0):1:2^62 would ask for 2^62 indices (32 EiB
-  // of vector). Charge the full expanded size before allocating anything.
+  // of vector). Charged as the full expanded size, although nothing is.
   DVF_TRY_CHECK(budget_or_default(budget).charge_expansion(
       math::saturating_mul(start.size(), count)));
 
-  std::vector<std::uint64_t> out;
-  out.reserve(start.size() * count);
-  for (std::uint64_t r = 0; r < count; ++r) {
-    // offset = r * step and idx = s + offset in checked int64 arithmetic:
-    // with count up to 2^64 and step up to int64 limits both can leave the
-    // representable range long before the negative-index check would fire.
-    std::int64_t offset = 0;
-    if (__builtin_mul_overflow(static_cast<std::int64_t>(r), step, &offset)) {
-      return EvalError{ErrorKind::kOverflow,
-                       "template progression offset " + std::to_string(r) +
-                           " * " + std::to_string(step) +
-                           " overflows a 64-bit index"};
-    }
-    for (const std::int64_t s : start) {
-      std::int64_t idx = 0;
-      if (__builtin_add_overflow(s, offset, &idx)) {
-        return EvalError{ErrorKind::kOverflow,
-                         "template progression index " + std::to_string(s) +
-                             " + " + std::to_string(offset) +
-                             " overflows a 64-bit index"};
-      }
-      DVF_EVAL_REQUIRE(idx >= 0,
-                       "template progression references a negative element "
-                       "index");
-      out.push_back(static_cast<std::uint64_t>(idx));
+  // A front-to-back scan of the expansion would stop at the first negative
+  // index or int64 overflow. Every start moves monotonically, so each kind
+  // of failure has a first iteration, found in closed form, and the
+  // earliest (iteration, start) is the one the scan reports. Iteration 0
+  // only fails on a negative start.
+  DVF_EVAL_REQUIRE(std::all_of(start.begin(), start.end(),
+                               [](std::int64_t s) { return s >= 0; }),
+                   "template progression references a negative element "
+                   "index");
+  if (step == 0) {
+    return spec_of(start, step, count);
+  }
+  constexpr auto kMax =
+      static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max());
+  const std::uint64_t magnitude =
+      step < 0 ? std::uint64_t{0} - static_cast<std::uint64_t>(step)
+               : static_cast<std::uint64_t>(step);
+  // The offset r * step leaves [-2^63, 2^63 - 1] first at this iteration;
+  // it is checked before the iteration's indices (bad_start == size).
+  std::uint64_t bad = (step > 0 ? kMax : kMax + 1) / magnitude + 1;
+  std::size_t bad_start = start.size();
+  for (std::size_t j = 0; j < start.size(); ++j) {
+    const auto s = static_cast<std::uint64_t>(start[j]);
+    // Upward, s + r * step overflows past r = (2^63 - 1 - s) / step;
+    // downward, it turns negative past r = s / |step|.
+    const std::uint64_t first = (step > 0 ? kMax - s : s) / magnitude + 1;
+    if (first < bad) {
+      bad = first;
+      bad_start = j;
     }
   }
-  return out;
+  if (bad >= count) {
+    return spec_of(start, step, count);
+  }
+  if (bad_start == start.size()) {
+    return EvalError{ErrorKind::kOverflow,
+                     "template progression offset " + std::to_string(bad) +
+                         " * " + std::to_string(step) +
+                         " overflows a 64-bit index"};
+  }
+  DVF_EVAL_REQUIRE(step > 0,
+                   "template progression references a negative element "
+                   "index");
+  return EvalError{ErrorKind::kOverflow,
+                   "template progression index " +
+                       std::to_string(start[bad_start]) + " + " +
+                       std::to_string(static_cast<std::int64_t>(bad) * step) +
+                       " overflows a 64-bit index"};
 }
 
 std::uint64_t AccessOrder::appearances(std::string_view name) const {

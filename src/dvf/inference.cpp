@@ -112,9 +112,9 @@ std::vector<PatternSpec> infer_patterns(
     const std::size_t period = smallest_period(element_indices);
     TemplateSpec t;
     t.element_bytes = element_bytes;
-    t.element_indices.assign(element_indices.begin(),
-                             element_indices.begin() +
-                                 static_cast<std::ptrdiff_t>(period));
+    t.starts.assign(element_indices.begin(),
+                    element_indices.begin() +
+                        static_cast<std::ptrdiff_t>(period));
     t.repetitions = element_indices.size() / period;
     patterns.emplace_back(std::move(t));
     return patterns;

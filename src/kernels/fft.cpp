@@ -72,7 +72,7 @@ ModelSpec Fft1D::model_spec() const {
   ds.size_bytes = x_.size_bytes();
   TemplateSpec t;
   t.element_bytes = sizeof(Complex);
-  t.element_indices = transform_template();
+  t.starts = transform_template();
   t.repetitions = config_.transforms;
   ds.patterns.emplace_back(std::move(t));
   spec.structures.push_back(std::move(ds));

@@ -83,7 +83,7 @@ ModelSpec MultiGrid::model_spec() const {
 
   TemplateSpec t;
   t.element_bytes = sizeof(double);
-  t.element_indices = smoother_template();
+  t.starts = smoother_template();
   t.repetitions = passes_per_cycle * config_.vcycles;
   // The rhs and residual arrays stream alongside R and contend for the
   // cache; R's share is its footprint fraction of the three equally sized

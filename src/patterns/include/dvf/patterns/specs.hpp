@@ -62,17 +62,42 @@ enum class DistanceKind {
   kRaw,
 };
 
-/// Template-based access (§III-C): an explicit element-index reference
-/// string (already expanded from the DSL's start:step:end template syntax).
-/// `repetitions` replays the same string back-to-back — iterative kernels
-/// (multigrid sweeps, FFT passes) repeat one sweep template many times, and
-/// replaying through the analyzer is far cheaper than materializing it.
+/// Template-based access (§III-C), in the DSL's own form: a start tuple, a
+/// step and a count. Iteration i (0 <= i < count) references element
+/// starts[j] + i * step for each j, in tuple order, so the element reference
+/// string has starts.size() * count entries. An explicit reference string is
+/// the same struct with count = 1 and `starts` holding the string.
+/// `repetitions` replays the whole string back-to-back — iterative kernels
+/// (multigrid sweeps, FFT passes) repeat one sweep template many times.
 struct TemplateSpec {
   std::uint32_t element_bytes = 8;
-  std::vector<std::uint64_t> element_indices;
+  std::vector<std::uint64_t> starts;
+  std::int64_t step = 1;
+  std::uint64_t count = 1;
   std::uint64_t repetitions = 1;
   double cache_ratio = 1.0;  ///< share of the cache available to the structure
   DistanceKind distance = DistanceKind::kStack;
+
+  /// Entries of the element reference string, saturating at 2^64 - 1.
+  [[nodiscard]] std::uint64_t length() const noexcept {
+    const std::uint64_t n = starts.size();
+    return n != 0 && count > ~std::uint64_t{0} / n ? ~std::uint64_t{0}
+                                                   : n * count;
+  }
+
+  /// Calls f(index) for every entry of the reference string, in order.
+  /// Indices are computed modulo 2^64; a progression that leaves the index
+  /// range is rejected by the evaluators before anything streams it.
+  template <typename F>
+  void for_each_index(F&& f) const {
+    const auto stride = static_cast<std::uint64_t>(step);
+    std::uint64_t offset = 0;
+    for (std::uint64_t i = 0; i < count; ++i, offset += stride) {
+      for (const std::uint64_t start : starts) {
+        f(start + offset);
+      }
+    }
+  }
 };
 
 /// Interference scenario for the reuse model (the paper's two post-load

@@ -267,7 +267,7 @@ TEST(PatternBounds, TemplateTightensToAPointWhenCheap) {
   spec.element_bytes = 8;
   spec.repetitions = 4;
   for (std::uint64_t i = 0; i < 512; ++i) {
-    spec.element_indices.push_back(i);
+    spec.starts.push_back(i);
   }
   const CacheConfig cache = caches::profiling_16kb();
   const PatternFacts facts = pattern_bounds(PatternSpec{spec}, cache);

@@ -3,13 +3,21 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <variant>
+#include <vector>
 
 #include "dvf/common/error.hpp"
 #include "dvf/dsl/parser.hpp"
 
 namespace dvf::dsl {
 namespace {
+
+std::vector<std::uint64_t> expanded(const TemplateSpec& t) {
+  std::vector<std::uint64_t> out;
+  t.for_each_index([&out](std::uint64_t idx) { out.push_back(idx); });
+  return out;
+}
 
 TEST(Evaluate, ArithmeticAndParams) {
   const CompiledProgram c = compile(
@@ -101,8 +109,10 @@ TEST(Analyzer, TemplateLoweringWithCount) {
       pattern R template { start (5, 7); step 2; count 3; repeat 4; }
     })");
   const auto& t = std::get<TemplateSpec>(c.model("m").structures[0].patterns[0]);
-  EXPECT_EQ(t.element_indices,
-            (std::vector<std::uint64_t>{5, 7, 7, 9, 9, 11}));
+  EXPECT_EQ(t.starts, (std::vector<std::uint64_t>{5, 7}));
+  EXPECT_EQ(t.step, 2);
+  EXPECT_EQ(t.count, 3u);
+  EXPECT_EQ(expanded(t), (std::vector<std::uint64_t>{5, 7, 7, 9, 9, 11}));
   EXPECT_EQ(t.repetitions, 4u);
 }
 
@@ -113,7 +123,8 @@ TEST(Analyzer, TemplateLoweringWithEndTuple) {
       pattern R template { start (10); step 5; end (25); }
     })");
   const auto& t = std::get<TemplateSpec>(c.model("m").structures[0].patterns[0]);
-  EXPECT_EQ(t.element_indices, (std::vector<std::uint64_t>{10, 15, 20, 25}));
+  EXPECT_EQ(t.count, 4u);
+  EXPECT_EQ(expanded(t), (std::vector<std::uint64_t>{10, 15, 20, 25}));
 }
 
 TEST(Analyzer, ReuseExplicitAndOrderDerived) {

@@ -45,7 +45,7 @@ TEST(EdgeCases, LexerHandlesAdjacentOperators) {
 TEST(EdgeCases, SingleElementTemplate) {
   TemplateSpec t;
   t.element_bytes = 8;
-  t.element_indices = {7};
+  t.starts = {7};
   t.repetitions = 100;
   const CacheConfig c("c", 4, 64, 32);
   // First touch misses, every repetition hits.

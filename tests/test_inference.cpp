@@ -61,7 +61,7 @@ TEST(InferPatterns, DetectsPeriodicTemplates) {
   ASSERT_EQ(patterns.size(), 1u);
   const auto* t = std::get_if<TemplateSpec>(&patterns[0]);
   ASSERT_NE(t, nullptr);
-  EXPECT_EQ(t->element_indices, base);
+  EXPECT_EQ(t->starts, base);
   EXPECT_EQ(t->repetitions, 6u);
 }
 
@@ -75,7 +75,7 @@ TEST(InferPatterns, IrregularStreamBecomesLiteralTemplate) {
   ASSERT_EQ(patterns.size(), 1u);
   const auto* t = std::get_if<TemplateSpec>(&patterns[0]);
   ASSERT_NE(t, nullptr);
-  EXPECT_EQ(t->element_indices.size() * t->repetitions, 1000u);
+  EXPECT_EQ(t->length() * t->repetitions, 1000u);
 }
 
 TEST(InferPatterns, OverBudgetStreamBecomesIrmRandom) {

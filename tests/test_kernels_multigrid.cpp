@@ -71,7 +71,7 @@ TEST(MultigridKernel, ModelSpecIsATemplateOnR) {
   const auto* tmpl = std::get_if<TemplateSpec>(&spec.structures[0].patterns[0]);
   ASSERT_NE(tmpl, nullptr);
   EXPECT_EQ(tmpl->repetitions, 3u * 4u);  // (pre+post+2) * vcycles
-  EXPECT_GT(tmpl->element_indices.size(), 0u);
+  EXPECT_GT(tmpl->starts.size(), 0u);
 }
 
 TEST(MultigridKernel, PaddedIndexingNeverAliasesRows) {

@@ -157,18 +157,18 @@ TEST(TemplateVsSim, MatchesSimulatorOnStencilStream) {
   for (std::uint64_t i = 1; i + 1 < n; ++i) {
     for (std::uint64_t j = 1; j + 1 < n; ++j) {
       const std::uint64_t center = i * n + j;
-      spec.element_indices.push_back(center - 1);
-      spec.element_indices.push_back(center + 1);
-      spec.element_indices.push_back(center - n);
-      spec.element_indices.push_back(center + n);
-      spec.element_indices.push_back(center);
+      spec.starts.push_back(center - 1);
+      spec.starts.push_back(center + 1);
+      spec.starts.push_back(center - n);
+      spec.starts.push_back(center + n);
+      spec.starts.push_back(center);
     }
   }
   spec.repetitions = 4;
 
   CacheSimulator sim(config);
   for (std::uint64_t rep = 0; rep < spec.repetitions; ++rep) {
-    for (const std::uint64_t idx : spec.element_indices) {
+    for (const std::uint64_t idx : spec.starts) {
       sim.on_load(0, idx * 8, 8);
     }
   }
@@ -186,11 +186,11 @@ TEST(TemplateVsSim, ExactForFullyAssociativeFriendlyStreams) {
   spec.element_bytes = 32;  // one block per element
   for (int rep = 0; rep < 6; ++rep) {
     for (std::uint64_t i = 0; i < 128; ++i) {  // half of the 256 blocks
-      spec.element_indices.push_back(i);
+      spec.starts.push_back(i);
     }
   }
   CacheSimulator sim(config);
-  for (const std::uint64_t idx : spec.element_indices) {
+  for (const std::uint64_t idx : spec.starts) {
     sim.on_load(0, idx * 32, 32);
   }
   EXPECT_DOUBLE_EQ(try_estimate_template(spec, config).value_or_throw(),

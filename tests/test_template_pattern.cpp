@@ -1,13 +1,17 @@
-// Unit + property tests for the template-based model: block expansion, the
+// Unit + property tests for the template-based model: block mapping, the
 // two-step counting algorithm (cross-validated against a brute-force oracle
-// over the materialized string), and golden values for the bundled models.
+// over the materialized string), the periodic collapse of progressions
+// (against a plain expand-intern-replay), and golden values for the bundled
+// models.
 #include "dvf/patterns/template_access.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <iomanip>
+#include <list>
 #include <map>
 #include <set>
 #include <string>
@@ -23,6 +27,74 @@ namespace dvf {
 namespace {
 
 constexpr std::uint64_t kColdMiss = ~std::uint64_t{0};
+
+/// The template's cache-block reference string, one pass (structure
+/// block-aligned at offset 0; elements wider than a line touch every block
+/// they cover).
+std::vector<std::uint64_t> blocks_of(const TemplateSpec& spec,
+                                     std::uint32_t line_bytes) {
+  std::vector<std::uint64_t> blocks;
+  spec.for_each_index([&](std::uint64_t idx) {
+    const std::uint64_t first = idx * spec.element_bytes / line_bytes;
+    const std::uint64_t last =
+        (idx * spec.element_bytes + spec.element_bytes - 1) / line_bytes;
+    for (std::uint64_t b = first; b <= last; ++b) {
+      blocks.push_back(b);
+    }
+  });
+  return blocks;
+}
+
+/// The estimator before progressions stayed unexpanded: materialize the
+/// block string, rename blocks in first-use order, then replay at most two
+/// passes through a fully-associative LRU (stack) or a last-use table (raw):
+/// N_ha = A1 + (R - 1) * A2.
+double expand_intern_replay(const TemplateSpec& spec,
+                            const CacheConfig& cache) {
+  const std::vector<std::uint64_t> blocks =
+      blocks_of(spec, cache.line_bytes());
+  const auto capacity = static_cast<std::uint64_t>(
+      static_cast<double>(cache.total_blocks()) * spec.cache_ratio);
+  const std::uint64_t positions = blocks.size() * spec.repetitions;
+  std::unordered_map<std::uint64_t, std::size_t> ids;
+  std::vector<std::size_t> string;
+  for (const std::uint64_t b : blocks) {
+    string.push_back(ids.emplace(b, ids.size()).first->second);
+  }
+  if (capacity == 0) {
+    return static_cast<double>(positions);
+  }
+  if (spec.distance == DistanceKind::kStack && capacity >= ids.size()) {
+    return static_cast<double>(ids.size());
+  }
+  std::list<std::size_t> lru;  // most recent first
+  std::vector<std::list<std::size_t>::iterator> where(ids.size(), lru.end());
+  std::vector<std::uint64_t> last(ids.size(), kColdMiss);
+  std::uint64_t now = 0;
+  std::uint64_t per_pass[2] = {0, 0};
+  for (int pass = 0; pass < (spec.repetitions > 1 ? 2 : 1); ++pass) {
+    for (const std::size_t id : string) {
+      bool miss = false;
+      if (spec.distance == DistanceKind::kStack) {
+        miss = where[id] == lru.end();
+        if (!miss) {
+          lru.erase(where[id]);
+        } else if (lru.size() == capacity) {
+          where[lru.back()] = lru.end();
+          lru.pop_back();
+        }
+        lru.push_front(id);
+        where[id] = lru.begin();
+      } else {
+        miss = last[id] == kColdMiss || now - last[id] > capacity;
+        last[id] = now++;
+      }
+      per_pass[pass] += miss ? 1 : 0;
+    }
+  }
+  return static_cast<double>(per_pass[0] +
+                             (spec.repetitions - 1) * per_pass[1]);
+}
 
 /// Brute-force stack distance: distinct blocks strictly between the previous
 /// and current use.
@@ -69,14 +141,14 @@ TEST(TemplateEstimate, MatchesTheTwoStepOracleOnRandomStrings) {
     const std::uint64_t universe = 1 + rng.below(200);
     const std::uint64_t length = 1 + rng.below(300);
     for (std::uint64_t i = 0; i < length; ++i) {
-      spec.element_indices.push_back(rng.below(universe));
+      spec.starts.push_back(rng.below(universe));
     }
     // The paper's two-step count, literally: materialize every repetition,
     // then one access per first use plus one per reuse whose distance
     // reaches the share (stack: >= C distinct blocks between uses; raw: a
     // gap > C references).
-    const std::vector<std::uint64_t> once = blocks_from_elements(
-        spec.element_indices, spec.element_bytes, cache.line_bytes());
+    const std::vector<std::uint64_t> once =
+        blocks_of(spec, cache.line_bytes());
     std::vector<std::uint64_t> blocks;
     for (std::uint64_t rep = 0; rep < spec.repetitions; ++rep) {
       blocks.insert(blocks.end(), once.begin(), once.end());
@@ -121,7 +193,7 @@ TEST(TemplateEstimate, RepetitionCollapseSaturatesInsteadOfWrapping) {
   TemplateSpec spec;
   spec.element_bytes = 32;
   for (std::uint64_t i = 0; i < 300; ++i) {
-    spec.element_indices.push_back(i);
+    spec.starts.push_back(i);
   }
   spec.repetitions = std::uint64_t{1} << 63;
   const CacheConfig c("c", 4, 64, 32);
@@ -134,18 +206,42 @@ TEST(TemplateEstimate, RepetitionCollapseSaturatesInsteadOfWrapping) {
   }
 }
 
+/// The estimate with no cache share (every block reference misses) and with
+/// the whole cache (only first uses miss): the block string's length and its
+/// distinct blocks.
+std::pair<double, double> length_and_distinct(TemplateSpec spec,
+                                              const CacheConfig& cache) {
+  spec.cache_ratio = 0.5 / static_cast<double>(cache.total_blocks());
+  const double length = try_estimate_template(spec, cache).value_or_throw();
+  spec.cache_ratio = 1.0;
+  return {length, try_estimate_template(spec, cache).value_or_throw()};
+}
+
 TEST(BlocksFromElements, MapsThroughElementAndLineSizes) {
-  const std::vector<std::uint64_t> idx = {0, 1, 2, 3, 4};
-  // 8-byte elements, 32-byte lines: four elements per block.
-  const auto blocks = blocks_from_elements(idx, 8, 32);
-  EXPECT_EQ(blocks, (std::vector<std::uint64_t>{0, 0, 0, 0, 1}));
+  // 8-byte elements, 32-byte lines: four elements per block, so elements
+  // 0..4 reference blocks 0, 0, 0, 0, 1.
+  TemplateSpec spec;
+  spec.element_bytes = 8;
+  spec.starts = {0, 1, 2, 3, 4};
+  const CacheConfig cache("c", 4, 64, 32);
+  EXPECT_EQ(length_and_distinct(spec, cache), std::make_pair(5.0, 2.0));
+  // The same string as a progression.
+  spec.starts = {0};
+  spec.count = 5;
+  EXPECT_EQ(length_and_distinct(spec, cache), std::make_pair(5.0, 2.0));
 }
 
 TEST(BlocksFromElements, WideElementsTouchEveryCoveredBlock) {
-  const std::vector<std::uint64_t> idx = {0, 1};
-  // 64-byte elements over 32-byte lines: each element covers two blocks.
-  const auto blocks = blocks_from_elements(idx, 64, 32);
-  EXPECT_EQ(blocks, (std::vector<std::uint64_t>{0, 1, 2, 3}));
+  // 64-byte elements over 32-byte lines: each element covers two blocks, so
+  // elements 0, 1 reference blocks 0, 1, 2, 3.
+  TemplateSpec spec;
+  spec.element_bytes = 64;
+  spec.starts = {0, 1};
+  const CacheConfig cache("c", 4, 64, 32);
+  EXPECT_EQ(length_and_distinct(spec, cache), std::make_pair(4.0, 4.0));
+  spec.starts = {0};
+  spec.count = 2;
+  EXPECT_EQ(length_and_distinct(spec, cache), std::make_pair(4.0, 4.0));
 }
 
 TEST(TemplateEstimate, ColdBlocksOnlyWhenFitting) {
@@ -153,7 +249,7 @@ TEST(TemplateEstimate, ColdBlocksOnlyWhenFitting) {
   spec.element_bytes = 32;
   for (int rep = 0; rep < 5; ++rep) {
     for (std::uint64_t i = 0; i < 100; ++i) {
-      spec.element_indices.push_back(i);
+      spec.starts.push_back(i);
     }
   }
   const CacheConfig c("c", 4, 64, 32);  // 256 blocks >= 100
@@ -165,7 +261,7 @@ TEST(TemplateEstimate, CyclicOverCapacityThrashes) {
   spec.element_bytes = 32;
   for (int rep = 0; rep < 3; ++rep) {
     for (std::uint64_t i = 0; i < 300; ++i) {  // 300 blocks > 256
-      spec.element_indices.push_back(i);
+      spec.starts.push_back(i);
     }
   }
   const CacheConfig c("c", 4, 64, 32);
@@ -178,15 +274,14 @@ TEST(TemplateEstimate, RepetitionsEquivalentToMaterializedRepeats) {
   once.element_bytes = 8;
   Xoshiro256 rng(5);
   for (int i = 0; i < 500; ++i) {
-    once.element_indices.push_back(rng.below(2000));
+    once.starts.push_back(rng.below(2000));
   }
   TemplateSpec repeated = once;
   repeated.repetitions = 4;
   TemplateSpec materialized = once;
   for (int rep = 1; rep < 4; ++rep) {
-    materialized.element_indices.insert(materialized.element_indices.end(),
-                                        once.element_indices.begin(),
-                                        once.element_indices.end());
+    materialized.starts.insert(materialized.starts.end(), once.starts.begin(),
+                               once.starts.end());
   }
   const CacheConfig c("c", 2, 32, 32);
   EXPECT_DOUBLE_EQ(try_estimate_template(repeated, c).value_or_throw(),
@@ -198,7 +293,7 @@ TEST(TemplateEstimate, CacheRatioReducesEffectiveCapacity) {
   spec.element_bytes = 32;
   for (int rep = 0; rep < 2; ++rep) {
     for (std::uint64_t i = 0; i < 200; ++i) {
-      spec.element_indices.push_back(i);
+      spec.starts.push_back(i);
     }
   }
   const CacheConfig c("c", 4, 64, 32);  // 256 blocks
@@ -216,11 +311,11 @@ TEST(TemplateEstimate, RawDistanceVariantDiffersOnSkewedStrings) {
   // intervenes: stack treats it as a hit, raw as a miss.
   TemplateSpec spec;
   spec.element_bytes = 32;
-  spec.element_indices.push_back(0);
+  spec.starts.push_back(0);
   for (int i = 0; i < 400; ++i) {
-    spec.element_indices.push_back(1);
+    spec.starts.push_back(1);
   }
-  spec.element_indices.push_back(0);
+  spec.starts.push_back(0);
   const CacheConfig c("c", 4, 64, 32);
   spec.distance = DistanceKind::kStack;
   EXPECT_DOUBLE_EQ(try_estimate_template(spec, c).value_or_throw(), 2.0);
@@ -233,7 +328,7 @@ TEST(TemplateEstimate, RejectsInvalidSpecs) {
   const CacheConfig c("c", 4, 64, 32);
   EXPECT_THROW((void)try_estimate_template(spec, c).value_or_throw(),
                InvalidArgumentError);
-  spec.element_indices = {1, 2, 3};
+  spec.starts = {1, 2, 3};
   spec.cache_ratio = 0.0;
   EXPECT_THROW((void)try_estimate_template(spec, c).value_or_throw(),
                InvalidArgumentError);
@@ -241,6 +336,163 @@ TEST(TemplateEstimate, RejectsInvalidSpecs) {
   spec.repetitions = 0;
   EXPECT_THROW((void)try_estimate_template(spec, c).value_or_throw(),
                InvalidArgumentError);
+  spec.repetitions = 1;
+  spec.count = 0;
+  EXPECT_THROW((void)try_estimate_template(spec, c).value_or_throw(),
+               InvalidArgumentError);
+}
+
+TEST(TemplateEstimate, ProgressionsLeavingTheIndexRangeNameThePosition) {
+  const CacheConfig c("c", 4, 64, 32);
+  TemplateSpec spec;
+  spec.element_bytes = 8;
+  // 10, 30 | 7, 27 | 4, 24 | 1, 21 | -2: position 8 is the first negative.
+  spec.starts = {10, 30};
+  spec.step = -3;
+  spec.count = 5;
+  Result<double> r = try_estimate_template(spec, c);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().kind, ErrorKind::kDomainError);
+  EXPECT_EQ(r.error().message,
+            "template: element index at position 8 is negative");
+  // Byte addresses of 8-byte elements end at index 2^61 - 1: the second
+  // start crosses it first, at iteration 2 (position 5).
+  const std::uint64_t top = (std::uint64_t{1} << 61) - 1;
+  spec.starts = {top - 10, top - 1};
+  spec.step = 1;
+  r = try_estimate_template(spec, c);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().kind, ErrorKind::kOverflow);
+  EXPECT_EQ(r.error().message, "template: element index " +
+                                   std::to_string(top + 1) +
+                                   " at position 5 overflows 64-bit byte "
+                                   "addressing");
+  // A downward sweep longer than the whole index range: iteration 1 is
+  // already below element 0.
+  spec.starts = {5};
+  spec.step = -(std::int64_t{1} << 45);
+  spec.count = std::uint64_t{1} << 17;
+  r = try_estimate_template(spec, c);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().kind, ErrorKind::kDomainError);
+  EXPECT_EQ(r.error().message,
+            "template: element index at position 1 is negative");
+}
+
+TEST(TemplateEstimate, ManyStartProgressionsProbeQuickly) {
+  // 2^14 starts 1 MiB apart, one byte each, advancing one byte per
+  // iteration on the 8MB machine: 2^20 runs (P = 64 per start), and at
+  // each period boundary the whole share holds blocks no start reaches
+  // again. Each probe walks that share once, and must not test every run
+  // for every block of it. Every reuse is 2^14 - 1 blocks deep, below the
+  // 2^16-block share, so only first uses miss.
+  TemplateSpec spec;
+  spec.element_bytes = 1;
+  spec.step = 1;
+  spec.count = std::uint64_t{1} << 10;
+  for (std::uint64_t j = 0; j < (std::uint64_t{1} << 14); ++j) {
+    spec.starts.push_back(j << 20);
+  }
+  // Well under a second here; testing every run for every block took
+  // over a minute, with no deadline check inside the probe.
+  EvalLimits limits;
+  limits.wall_seconds = 20.0;
+  EvalBudget budget(limits);
+  const auto begin = std::chrono::steady_clock::now();
+  const Result<double> r =
+      try_estimate_template(spec, caches::profiling_8mb(), &budget);
+  const std::chrono::duration<double> took =
+      std::chrono::steady_clock::now() - begin;
+  ASSERT_TRUE(r.ok()) << r.error().message;
+  EXPECT_EQ(*r, static_cast<double>(std::uint64_t{1} << 18));
+  EXPECT_LT(took.count(), limits.wall_seconds);
+}
+
+TEST(TemplateEstimate, ProgressionMatchesExpandInternReplay) {
+  // The estimator, number for number, against the plain algorithm over the
+  // expanded string: random progressions (1-6 starts, step -3..3, up to a
+  // few thousand iterations) and count-1 explicit lists; elements that tile
+  // lines and elements that straddle them; lines of 8-128 B; capacities 0,
+  // below the distinct count and at or above it; 1-5 repetitions; both
+  // distance kinds.
+  static constexpr std::uint32_t kSizes[] = {4, 8, 16, 24, 48, 100};
+  static constexpr std::uint32_t kLines[] = {8, 16, 32, 64, 128};
+  Xoshiro256 rng(2114);
+  int collapsible = 0;
+  for (int trial = 0; trial < 240; ++trial) {
+    TemplateSpec spec;
+    spec.element_bytes = kSizes[rng.below(6)];
+    spec.repetitions = 1 + rng.below(5);
+    if (trial % 8 == 0) {
+      for (std::uint64_t i = 1 + rng.below(400); i > 0; --i) {
+        spec.starts.push_back(rng.below(1000));
+      }
+    } else {
+      spec.step = static_cast<std::int64_t>(rng.below(7)) - 3;
+      spec.count = 2 + rng.below(trial % 4 == 0 ? 4000 : 600);
+      const std::uint64_t floor =
+          spec.step < 0 ? (spec.count - 1) * 3 : 0;  // stays >= element 0
+      for (std::uint64_t j = 1 + rng.below(6); j > 0; --j) {
+        spec.starts.push_back(floor + rng.below(1 + 64 * rng.below(40)));
+      }
+    }
+    const CacheConfig cache("c", 1 + static_cast<std::uint32_t>(rng.below(8)),
+                            std::uint32_t{16} << rng.below(8),
+                            kLines[rng.below(5)]);
+    const std::vector<std::uint64_t> blocks =
+        blocks_of(spec, cache.line_bytes());
+    const auto distinct = static_cast<std::uint64_t>(
+        std::set<std::uint64_t>(blocks.begin(), blocks.end()).size());
+    for (const std::uint64_t capacity :
+         {std::uint64_t{0}, 1 + rng.below(distinct), distinct,
+          distinct + 1 + rng.below(64)}) {
+      if (capacity > cache.total_blocks()) {
+        continue;
+      }
+      collapsible += capacity > 0 && capacity < distinct ? 1 : 0;
+      spec.cache_ratio =
+          std::min(1.0, (static_cast<double>(capacity) + 0.5) /
+                            static_cast<double>(cache.total_blocks()));
+      for (const DistanceKind kind :
+           {DistanceKind::kStack, DistanceKind::kRaw}) {
+        spec.distance = kind;
+        const Result<double> got = try_estimate_template(spec, cache);
+        ASSERT_TRUE(got.ok()) << "trial " << trial << " "
+                              << got.error().describe();
+        ASSERT_EQ(got.value(), expand_intern_replay(spec, cache))
+            << "trial " << trial << " starts " << spec.starts.size()
+            << " step " << spec.step << " count " << spec.count << " E "
+            << spec.element_bytes << " CL " << cache.line_bytes()
+            << " capacity " << capacity << " of " << distinct << " R "
+            << spec.repetitions
+            << (kind == DistanceKind::kStack ? " stack" : " raw");
+      }
+    }
+  }
+  EXPECT_GT(collapsible, 120);
+}
+
+TEST(TemplateEstimate, ProgressionSteadyStateIsSkippedNotReplayed) {
+  // One start sweeping 2^32 8-byte elements over 32-byte lines: 2^30 blocks,
+  // each used by four consecutive iterations, so a 16-block share misses
+  // once per block and every pass alike. Replaying 2^32 references per pass
+  // would take minutes; the collapse replays a few periods.
+  TemplateSpec spec;
+  spec.element_bytes = 8;
+  spec.starts = {0};
+  spec.count = std::uint64_t{1} << 32;
+  spec.repetitions = 3;
+  const CacheConfig c("c", 4, 64, 32);  // 256 blocks
+  spec.cache_ratio = 16.0 / 256.0;
+  EvalBudget unlimited(EvalLimits{0, 0, 0.0});
+  const Result<double> got = try_estimate_template(spec, c, &unlimited);
+  ASSERT_TRUE(got.ok()) << got.error().describe();
+  EXPECT_EQ(got.value(), 3.0 * static_cast<double>(std::uint64_t{1} << 30));
+  // A share holding every block misses only on first uses, counted in
+  // closed form.
+  spec.cache_ratio = 1.0;
+  spec.count = 1024;
+  EXPECT_EQ(try_estimate_template(spec, c, &unlimited).value(), 256.0);
 }
 
 

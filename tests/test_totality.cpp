@@ -156,9 +156,9 @@ TEST(TotalityTemplate, HugeReplayTripsTheDefaultReferenceBudget) {
   // beyond the process-default 2^28 cap. Must degrade into resource_limit,
   // not a day-long replay.
   TemplateSpec spec;
-  spec.element_indices.assign(1024, 0);
-  for (std::size_t i = 0; i < spec.element_indices.size(); ++i) {
-    spec.element_indices[i] = i;
+  spec.starts.assign(1024, 0);
+  for (std::size_t i = 0; i < spec.starts.size(); ++i) {
+    spec.starts[i] = i;
   }
   spec.repetitions = std::uint64_t{1} << 40;
   EXPECT_TOTAL_ERROR(try_estimate_template(spec, small_cache()),
@@ -199,7 +199,7 @@ TEST(TotalityExpansion, ExpansionBombIsResourceLimit) {
   // (0,1,2,3):1:2^62 would materialize ~2^64 indices. The default budget
   // caps expansion at 2^24 elements; the guarded expander must refuse.
   const std::vector<std::int64_t> start{0, 1, 2, 3};
-  auto r = dsl::try_expand_progression(start, 1, std::uint64_t{1} << 62);
+  auto r = dsl::try_progression(start, 1, std::uint64_t{1} << 62);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.error().kind, ErrorKind::kResourceLimit);
 }
@@ -209,19 +209,19 @@ TEST(TotalityExpansion, TightBudgetCapsSmallBombs) {
   limits.max_expansion = 100;
   EvalBudget budget(limits);
   const std::vector<std::int64_t> start{0, 1};
-  auto r = dsl::try_expand_progression(start, 2, 51, &budget);  // 102 elements
+  auto r = dsl::try_progression(start, 2, 51, &budget);  // 102 elements
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.error().kind, ErrorKind::kResourceLimit);
 
   budget.reset();
-  auto ok = dsl::try_expand_progression(start, 2, 50, &budget);  // exactly 100
+  auto ok = dsl::try_progression(start, 2, 50, &budget);  // exactly 100
   ASSERT_TRUE(ok.ok()) << ok.error().describe();
-  EXPECT_EQ(ok.value().size(), 100u);
+  EXPECT_EQ(ok.value().length(), 100u);
 }
 
 TEST(TotalityExpansion, UnderflowingProgressionIsDomainError) {
   const std::vector<std::int64_t> start{4};
-  auto r = dsl::try_expand_progression(start, -3, 3);  // 4, 1, -2: below element 0
+  auto r = dsl::try_progression(start, -3, 3);  // 4, 1, -2: below element 0
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.error().kind, ErrorKind::kDomainError);
 }
