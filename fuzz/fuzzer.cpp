@@ -461,6 +461,38 @@ void expect_total(const std::string& label, FuzzReport& report,
   }
 }
 
+/// A phase the analysis says provably rejects must fail with exactly that
+/// kind under the case budget and under a cancelled one: the estimators
+/// check their facts step before any budget, so the kind is the same for
+/// every budget.
+void check_provable_rejection(const PatternSpec& spec,
+                              const CacheConfig& cache,
+                              const std::string& label, FuzzReport& report,
+                              const FuzzOptions& options) {
+  const analysis::PatternFacts facts =
+      analysis::pattern_bounds(spec, cache, false);
+  if (!facts.provably_rejects) {
+    return;
+  }
+  EvalBudget limited(case_limits());
+  EvalBudget cancelled;
+  cancelled.cancel();
+  for (EvalBudget* budget : {&limited, &cancelled}) {
+    const Result<double> result = try_estimate_accesses(spec, cache, budget);
+    const std::string got =
+        result.ok() ? "success" : to_string(result.error().kind);
+    if (got != to_string(facts.reject_kind)) {
+      record(report, options,
+             label + ": pattern '" + pattern_letter(spec) + "' on " +
+                 cache.describe() + " provably rejects (" +
+                 to_string(facts.reject_kind) + ") but the estimator " +
+                 (budget == &cancelled ? "under a cancelled budget"
+                                       : "under the case budget") +
+                 " reports " + got);
+    }
+  }
+}
+
 void check_eval_case(std::uint64_t index, Xoshiro256& rng, FuzzReport& report,
                      const FuzzOptions& options) {
   const std::string label = "[eval case " + std::to_string(index) + "]";
@@ -485,6 +517,7 @@ void check_eval_case(std::uint64_t index, Xoshiro256& rng, FuzzReport& report,
         } else if (result.error().message.empty()) {
           record(report, options, label + ": classified error with no message");
         }
+        check_provable_rejection(spec, cache, label, report, options);
       });
       break;
     }
@@ -997,6 +1030,12 @@ void check_analysis_soundness(const dsl::CompiledProgram& program,
                  label + ": structure '" + ds.name +
                      "' missing from the analysis report");
           continue;
+        }
+        for (std::size_t p = 0; p < ds.patterns.size(); ++p) {
+          check_provable_rejection(
+              ds.patterns[p], machine.llc,
+              label + ": phase " + std::to_string(p) + " of '" + ds.name + "'",
+              report, options);
         }
         budget.reset();
         const Result<double> n_ha = try_estimate_accesses(

@@ -14,7 +14,9 @@
 //               APIs under a bounded EvalBudget. An evaluator must return
 //               either a finite non-negative estimate or a classified
 //               EvalError; an exception, crash, hang (budget-bounded) or an
-//               unclassified non-finite value is a finding.
+//               unclassified non-finite value is a finding. A spec the
+//               analysis says provably rejects must fail with exactly that
+//               kind under the bounded and under a cancelled budget.
 //
 //   oracle    — differential testing: sensible random specs evaluated
 //               analytically and replayed on the LRU CacheSimulator; the
@@ -29,9 +31,10 @@
 //               sources: must never throw on any parseable model, never
 //               report NaN/invalid interval bounds, hash deterministically
 //               across re-runs, and every interval must contain the value
-//               the evaluator actually computes. Lint runs on the same
-//               source and must neither throw nor drop an error
-//               analyze_models reports.
+//               the evaluator actually computes, and a provably rejecting
+//               phase must fail with its reject_kind under any budget. Lint
+//               runs on the same source and must neither throw nor drop an
+//               error analyze_models reports.
 //
 //   chaos     — randomized-but-seeded environment-fault schedules (the
 //               failpoint subsystem: journal writes, thread spawn, serve

@@ -18,15 +18,14 @@ namespace dvf::analysis {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-constexpr std::uint64_t kU64Max = ~std::uint64_t{0};
 
-// Cost ceilings under which the closed forms are provably cheap enough to
+// Cost ceilings under which the estimators are provably cheap enough to
 // run outright (yielding point intervals). Above them the transfer
 // functions fall back to coarse — but still sound — interval arithmetic.
 constexpr std::size_t kExactIrmEntries = std::size_t{1} << 16;
 constexpr std::uint64_t kExactTemplateRefs = std::uint64_t{1} << 20;
 constexpr std::uint32_t kExactReuseAssoc = 128;
-/// Reference strings longer than this skip the exact distinct-block count
+/// Block strings longer than this skip the exact distinct-block count
 /// (a range union) and use a cheap lower bound instead.
 constexpr std::uint64_t kTemplateSortCap = std::uint64_t{1} << 21;
 
@@ -41,175 +40,91 @@ EvalLimits quiet_limits() {
   return limits;
 }
 
-/// Saturating double → u64 for reporting fields (never UB on huge values).
-std::uint64_t to_u64_clamped(double v) noexcept {
-  if (!(v > 0.0)) {
-    return 0;
+/// The facts step's rejection: it precedes every budget check in the
+/// estimator, so the evaluator fails with this kind under every budget.
+template <typename Facts>
+bool rejected(PatternFacts& facts, const Result<Facts>& step) {
+  if (step.ok()) {
+    return false;
   }
-  if (v >= 9.2e18) {  // below 2^63: cast always defined
-    return kU64Max;
-  }
-  return static_cast<std::uint64_t>(v);
-}
-
-void mark_reject(PatternFacts& facts, ErrorKind kind) {
   facts.provably_rejects = true;
-  facts.reject_kind = kind;
-  facts.n_ha = Interval::top();
-  facts.exact = false;
-}
-
-/// Runs the evaluator's own estimator under the quiet budget. On success
-/// the returned value is what any successful evaluation computes
-/// (estimators are deterministic; budgets only select error-vs-ok), so the
-/// interval tightens to an exact point.
-bool refine_with_estimator(PatternFacts& facts, const PatternSpec& spec,
-                           const CacheConfig& cache) {
-  EvalBudget quiet(quiet_limits());
-  const Result<double> r = try_estimate_accesses(spec, cache, &quiet);
-  if (!r.ok() || !std::isfinite(*r)) {
-    return false;
-  }
-  facts.n_ha = Interval::point(*r);
-  facts.exact = true;
+  facts.reject_kind = step.error().kind;
   return true;
 }
 
-/// For the O(1) closed forms: runs the estimator under the quiet budget,
-/// where only a budget-independent precondition (domain/overflow) can fail.
-/// Success is an exact point, failure a provable rejection with the
-/// evaluator's own kind. Returns whether the estimator succeeded.
-bool run_closed_form(PatternFacts& facts, const PatternSpec& spec,
-                     const CacheConfig& cache) {
-  EvalBudget quiet(quiet_limits());
-  const Result<double> r = try_estimate_accesses(spec, cache, &quiet);
-  if (!r.ok()) {
-    mark_reject(facts, r.error().kind);
-    return false;
-  }
-  facts.n_ha = Interval::point(*r);
+void set_point(PatternFacts& facts, double value) {
+  facts.n_ha = Interval::point(value);
   facts.exact = true;
-  return true;
 }
 
-// ---- streaming (Eqs. 3-4) ------------------------------------------------
+/// One phase on one cache, as the transfer functions see it.
+struct Phase {
+  const PatternSpec& spec;
+  const CacheConfig& cache;
+
+  /// Runs the evaluator's own estimator under the quiet budget. On success
+  /// the returned value is what any successful evaluation computes
+  /// (estimators are deterministic; budgets only select error-vs-ok), so
+  /// the interval tightens to an exact point. Past the facts step only a
+  /// budget can fail, and then the interval stands.
+  bool refine(PatternFacts& facts) const {
+    EvalBudget quiet(quiet_limits());
+    const Result<double> r = try_estimate_accesses(spec, cache, &quiet);
+    const bool point = r.ok() && std::isfinite(*r);
+    if (point) {
+      set_point(facts, *r);
+    }
+    return point;
+  }
+};
+
+// ---- streaming (Eqs. 3-4) and tiled --------------------------------------
 //
-// The closed form is O(1), so the transfer function simply runs it: every
-// failure of try_estimate_streaming under a deadline-free budget is a
-// budget-independent precondition (domain/overflow), hence a provable
-// rejection.
-PatternFacts bounds_streaming(const StreamingSpec& spec,
-                              const CacheConfig& cache) {
-  PatternFacts facts;
-  facts.capacity_blocks = cache.total_blocks();
-
-  if (!run_closed_form(facts, PatternSpec{spec}, cache)) {
-    return facts;
+// Both closed forms are O(1), so the transfer function runs the estimator
+// outright: every phase past the facts step is a point.
+template <typename Facts>
+void bounds_closed_form(PatternFacts& facts, const Phase& phase,
+                        const Result<Facts>& step) {
+  if (!rejected(facts, step)) {
+    static_cast<ShareFacts&>(facts) = step->share;
+    phase.refine(facts);
   }
-  if (spec.element_bytes > 0 &&
-      spec.element_count <= kU64Max / spec.element_bytes) {
-    facts.working_set_blocks =
-        math::ceil_div(spec.footprint_bytes(), cache.line_bytes());
-  }
-  return facts;
 }
 
 // ---- random (Eqs. 5-7) ---------------------------------------------------
 //
-// Uniform visits: Eq. 6 is a closed form, so, as for streaming, the
-// transfer function runs the estimator outright (run_closed_form).
-//
-// IRM histogram: coarse interval. The estimator returns
+// A footprint that fits is its compulsory load, and Eq. 6 is a closed form,
+// so both are points. IRM histogram: coarse interval. The estimator returns
 //   footprint_blocks + min(B_elm, B_out) * iterations
 // with B_elm >= 0 (up to Kahan slack) and min(B_elm, B_out) <= B_out exactly
-// in floating point. IEEE rounding is monotone, so re-evaluating the same
-// expression with B_out in place of the min yields an upper endpoint that
-// dominates every possible evaluator result; footprint_blocks (widened
-// down a hair for the Kahan slack) is the lower endpoint.
-PatternFacts bounds_random(const RandomSpec& spec, const CacheConfig& cache,
-                           bool refine_exact) {
-  PatternFacts facts;
-
-  // The estimator's budget-independent preconditions, replicated.
-  if (spec.element_count == 0 || spec.element_bytes == 0 ||
-      !(spec.cache_ratio > 0.0 && spec.cache_ratio <= 1.0)) {
-    mark_reject(facts, ErrorKind::kDomainError);
-    return facts;
+// in floating point. IEEE rounding is monotone, so evaluating the same
+// expression with the facts step's B_out in place of the min yields an upper
+// endpoint that dominates every possible evaluator result; footprint_blocks
+// (widened down a hair for the Kahan slack) is the lower endpoint.
+void bounds_random(PatternFacts& facts, const RandomSpec& spec,
+                   const Phase& phase, bool refine_exact) {
+  const Result<RandomFacts> step = try_random_facts(spec, phase.cache);
+  if (rejected(facts, step)) {
+    return;
   }
-  if (!std::isfinite(spec.visits_per_iteration)) {
-    mark_reject(facts, ErrorKind::kNonFinite);
-    return facts;
+  const RandomFacts& f = *step;
+  static_cast<ShareFacts&>(facts) = f.share;
+  if (f.regime == RandomCase::kFits || facts.zero_steady_work) {
+    // The reload term is absent, or exactly zero (iterations = 0, or k = 0
+    // without a histogram).
+    return set_point(facts, f.footprint_blocks);
   }
-  if (spec.visits_per_iteration < 0.0) {
-    mark_reject(facts, ErrorKind::kDomainError);
-    return facts;
+  const bool cheap =
+      f.regime == RandomCase::kUniform ||  // Eq. 6 is O(1)
+      (refine_exact && spec.sorted_visit_fractions.size() <= kExactIrmEntries);
+  if (cheap && phase.refine(facts)) {
+    return;
   }
-
-  // These expressions mirror the estimator verbatim so point results and
-  // the B_out-based upper endpoint are bit-identical to what it computes.
-  const double e = spec.element_bytes;
-  const double n = static_cast<double>(spec.element_count);
-  const double cl = cache.line_bytes();
-  const double footprint = e * n;
-  const double cache_share =
-      static_cast<double>(cache.capacity_bytes()) * spec.cache_ratio;
-  const double footprint_blocks = std::ceil(footprint / cl);
-
-  facts.working_set_blocks = to_u64_clamped(footprint_blocks);
-  facts.capacity_blocks =
-      to_u64_clamped(static_cast<double>(cache.total_blocks()) *
-                     spec.cache_ratio);
-  facts.zero_steady_work =
-      spec.iterations == 0 || (spec.visits_per_iteration == 0.0 &&
-                               spec.sorted_visit_fractions.empty());
-
-  if (footprint <= cache_share) {
-    facts.n_ha = Interval::point(footprint_blocks);
-    facts.exact = true;
-    return facts;
-  }
-  facts.exceeds_share = true;
-
-  if (spec.sorted_visit_fractions.empty()) {
-    run_closed_form(facts, PatternSpec{spec}, cache);
-    return facts;
-  }
-
-  // The estimator validates the reload path (case 2) only after the
-  // footprint-fits early return, so these checks must not fire above.
-  for (const double f : spec.sorted_visit_fractions) {
-    if (!std::isfinite(f)) {
-      mark_reject(facts, ErrorKind::kNonFinite);
-      return facts;
-    }
-    if (f < 0.0 || f > 1.0) {
-      mark_reject(facts, ErrorKind::kDomainError);
-      return facts;
-    }
-  }
-
-  if (facts.zero_steady_work) {
-    // iterations = 0: the reload term is exactly zero and the estimator
-    // returns footprint_blocks.
-    facts.n_ha = Interval::point(footprint_blocks);
-    facts.exact = true;
-    return facts;
-  }
-
-  if (refine_exact && spec.sorted_visit_fractions.size() <= kExactIrmEntries &&
-      refine_with_estimator(facts, spec, cache)) {
-    return facts;
-  }
-
-  // Coarse interval, exact-in-FP as argued above.
-  const double resident_blocks =
-      static_cast<double>(cache.total_blocks()) * spec.cache_ratio;
-  const double b_out = std::max(0.0, footprint / cl - resident_blocks);
   const double hi =
-      footprint_blocks + b_out * static_cast<double>(spec.iterations);
-  facts.n_ha = Interval::bounds(footprint_blocks, std::isfinite(hi) ? hi : kInf)
-                   .widened(1e-12, 1e-9);
-  return facts;
+      f.footprint_blocks + f.out_blocks * static_cast<double>(spec.iterations);
+  facts.n_ha =
+      Interval::bounds(f.footprint_blocks, std::isfinite(hi) ? hi : kInf)
+          .widened(1e-12, 1e-9);
 }
 
 // ---- template ------------------------------------------------------------
@@ -219,38 +134,28 @@ PatternFacts bounds_random(const RandomSpec& spec, const CacheConfig& cache,
 // length times the repetitions. Both endpoints are integer facts about that
 // counter, so u64 → double casts (monotone) carry the containment without
 // widening.
-PatternFacts bounds_template(const TemplateSpec& spec,
-                             const CacheConfig& cache, bool refine_exact) {
-  PatternFacts facts;
-  facts.zero_steady_work =
-      spec.starts.empty() || spec.count == 0 || spec.repetitions == 0;
-
-  if (spec.starts.empty() || spec.count == 0 || spec.element_bytes == 0 ||
-      !(spec.cache_ratio > 0.0 && spec.cache_ratio <= 1.0) ||
-      spec.repetitions < 1) {
-    mark_reject(facts, ErrorKind::kDomainError);
-    return facts;
+void bounds_template(PatternFacts& facts, const TemplateSpec& spec,
+                     const Phase& phase, bool refine_exact) {
+  const Result<TemplateFacts> step = try_template_facts(spec, phase.cache);
+  if (rejected(facts, step)) {
+    return;
   }
-  if (const Result<void> indices = try_check_template_indices(spec);
-      !indices.ok()) {
-    mark_reject(facts, indices.error().kind);
-    return facts;
-  }
-
   // The widest single reference is a distinct lower bound always; the exact
-  // distinct count is taken for strings up to the sort cap.
-  const bool distinct_is_exact = spec.length() <= kTemplateSortCap;
+  // distinct count, a range union over up to one entry per block reference,
+  // is taken while the worst-case block string (what the estimator charges
+  // as expansion) stays under the sort cap.
+  const std::uint32_t cl = phase.cache.line_bytes();
+  const bool distinct_is_exact =
+      math::saturating_mul(spec.length(), spec.element_bytes / cl + 1) <=
+      kTemplateSortCap;
   const TemplateFootprint footprint =
-      template_footprint(spec, cache.line_bytes(), distinct_is_exact);
-  const std::uint64_t string_len = footprint.references;
+      template_footprint(spec, cl, distinct_is_exact);
   const std::uint64_t distinct_lo =
       distinct_is_exact ? footprint.distinct : footprint.widest;
-
-  const auto capacity_blocks = static_cast<std::uint64_t>(
-      static_cast<double>(cache.total_blocks()) * spec.cache_ratio);
+  const std::uint64_t capacity_blocks = step->capacity_blocks;
   const std::uint64_t total_refs =
-      math::saturating_mul(string_len, spec.repetitions);
-  const bool refs_saturated = total_refs == kU64Max;
+      math::saturating_mul(footprint.references, spec.repetitions);
+  const bool refs_saturated = total_refs == ~std::uint64_t{0};
 
   facts.working_set_blocks = distinct_lo;
   facts.capacity_blocks = capacity_blocks;
@@ -259,32 +164,24 @@ PatternFacts bounds_template(const TemplateSpec& spec,
   if (capacity_blocks == 0 && !refs_saturated) {
     // Stack mode: every distance >= 0 >= capacity. Raw mode: every gap > 0.
     // Either way all positions miss.
-    facts.n_ha = Interval::point(static_cast<double>(total_refs));
-    facts.exact = true;
-    return facts;
+    return set_point(facts, static_cast<double>(total_refs));
   }
-  if (distinct_is_exact) {
-    const bool all_reuses_hit =
-        spec.distance == DistanceKind::kStack
-            ? distinct_lo <= capacity_blocks
-            : !refs_saturated && total_refs - 1 <= capacity_blocks;
-    if (all_reuses_hit) {
-      // No reuse distance can reach the capacity: only first touches miss.
-      facts.n_ha = Interval::point(static_cast<double>(distinct_lo));
-      facts.exact = true;
-      return facts;
-    }
+  const bool all_reuses_hit =
+      spec.distance == DistanceKind::kStack
+          ? distinct_lo <= capacity_blocks
+          : !refs_saturated && total_refs - 1 <= capacity_blocks;
+  if (distinct_is_exact && all_reuses_hit) {
+    // No reuse distance can reach the capacity: only first touches miss.
+    return set_point(facts, static_cast<double>(distinct_lo));
   }
 
   if (refine_exact && total_refs <= kExactTemplateRefs &&
-      refine_with_estimator(facts, spec, cache)) {
-    return facts;
+      phase.refine(facts)) {
+    return;
   }
-
   facts.n_ha = Interval::bounds(
       static_cast<double>(distinct_lo),
       refs_saturated ? kInf : static_cast<double>(total_refs));
-  return facts;
 }
 
 // ---- reuse (Eqs. 8-15) ---------------------------------------------------
@@ -294,104 +191,24 @@ PatternFacts bounds_template(const TemplateSpec& spec,
 // term is non-negative in floating point and F_a is an exact lower bound.
 // The upper endpoint assumes zero survivors; a small widening absorbs the
 // (bounded-negative) Kahan slack of the occupancy expectation.
-PatternFacts bounds_reuse(const ReuseSpec& spec, const CacheConfig& cache,
-                          bool refine_exact) {
-  PatternFacts facts;
-  facts.zero_steady_work = spec.reuse_rounds == 0;
-
-  if (spec.self_bytes == 0) {
-    mark_reject(facts, ErrorKind::kDomainError);
-    return facts;
+void bounds_reuse(PatternFacts& facts, const ReuseSpec& spec,
+                  const Phase& phase, bool refine_exact) {
+  const Result<ReuseFacts> step = try_reuse_facts(spec, phase.cache);
+  if (rejected(facts, step)) {
+    return;
   }
-  const std::uint64_t cl = cache.line_bytes();
-  const std::uint64_t fa = math::ceil_div(spec.self_bytes, cl);
-  const std::uint64_t fb = math::ceil_div(spec.other_bytes, cl);
-  if (fa > kU64Max - fb) {
-    mark_reject(facts, ErrorKind::kOverflow);
-    return facts;
+  static_cast<ShareFacts&>(facts) = step->share;
+  const double fa = static_cast<double>(step->self_blocks);
+  if (facts.zero_steady_work) {  // rounds = 0: the initial load alone
+    return set_point(facts, fa);
   }
-  if (spec.occupancy == ReuseOccupancy::kBernoulli &&
-      fa + fb > static_cast<std::uint64_t>(math::kMaxCombinatoricPopulation)) {
-    mark_reject(facts, ErrorKind::kOverflow);
-    return facts;
+  if (refine_exact && phase.cache.associativity() <= kExactReuseAssoc &&
+      phase.refine(facts)) {
+    return;
   }
-
-  facts.working_set_blocks = fa;
-  facts.capacity_blocks = cache.total_blocks();
-  facts.exceeds_share = fa > cache.total_blocks();
-
-  const double fa_d = static_cast<double>(fa);
-  if (spec.reuse_rounds == 0) {
-    facts.n_ha = Interval::point(fa_d);
-    facts.exact = true;
-    return facts;
-  }
-
-  if (refine_exact && cache.associativity() <= kExactReuseAssoc &&
-      refine_with_estimator(facts, spec, cache)) {
-    return facts;
-  }
-
-  const double hi =
-      fa_d + fa_d * static_cast<double>(spec.reuse_rounds);
-  facts.n_ha = Interval::bounds(fa_d, std::isfinite(hi) ? hi : kInf)
+  const double hi = fa + fa * static_cast<double>(spec.reuse_rounds);
+  facts.n_ha = Interval::bounds(fa, std::isfinite(hi) ? hi : kInf)
                    .widened(1e-9, 1e-9);
-  return facts;
-}
-
-// ---- tiled ---------------------------------------------------------------
-//
-// Like streaming, the closed form is O(1) (its only budget use is the
-// deadline check and a single reference charge), so the transfer function
-// runs it outright: success is a point, failure under the quiet budget is a
-// budget-independent precondition, hence a provable rejection.
-PatternFacts bounds_tiled(const TiledSpec& spec, const CacheConfig& cache) {
-  PatternFacts facts;
-
-  if (!run_closed_form(facts, PatternSpec{spec}, cache)) {
-    return facts;
-  }
-
-  // The steady-state working set is one tile (clamped to the matrix edge,
-  // as the evaluator clamps); the share is the structure's cache_ratio
-  // slice. exceeds_share mirrors the evaluator's case-3 test: not even one
-  // tile fits, so every intra-tile re-read misses.
-  const std::uint64_t tr = std::min(spec.tile_rows, spec.rows);
-  const std::uint64_t tc = std::min(spec.tile_cols, spec.cols);
-  const std::uint64_t e = spec.element_bytes;
-  facts.capacity_blocks = to_u64_clamped(
-      static_cast<double>(cache.total_blocks()) * spec.cache_ratio);
-  if (tc <= kU64Max / e) {
-    const std::uint64_t seg_lines = math::ceil_div(tc * e, cache.line_bytes());
-    facts.working_set_blocks = tr <= kU64Max / seg_lines ? tr * seg_lines
-                                                         : kU64Max;
-    if (tr <= kU64Max / (tc * e)) {
-      const double share =
-          static_cast<double>(cache.capacity_bytes()) * spec.cache_ratio;
-      facts.exceeds_share = static_cast<double>(tr * tc * e) > share;
-    }
-  }
-  return facts;
-}
-
-PatternFacts facts_for(const PatternSpec& spec, const CacheConfig& cache,
-                       bool refine_exact) {
-  return std::visit(
-      [&cache, refine_exact](const auto& s) {
-        using T = std::decay_t<decltype(s)>;
-        if constexpr (std::is_same_v<T, StreamingSpec>) {
-          return bounds_streaming(s, cache);
-        } else if constexpr (std::is_same_v<T, RandomSpec>) {
-          return bounds_random(s, cache, refine_exact);
-        } else if constexpr (std::is_same_v<T, TemplateSpec>) {
-          return bounds_template(s, cache, refine_exact);
-        } else if constexpr (std::is_same_v<T, TiledSpec>) {
-          return bounds_tiled(s, cache);
-        } else {
-          return bounds_reuse(s, cache, refine_exact);
-        }
-      },
-      spec);
 }
 
 /// Kahan-sums interval endpoints phase-wise, mirroring the evaluator's
@@ -445,7 +262,7 @@ StructureBounds structure_bounds(const DataStructureSpec& ds,
     bool all_exact = true;
     for (std::size_t pi = 0; pi < ds.patterns.size(); ++pi) {
       const PatternFacts facts =
-          facts_for(ds.patterns[pi], machine.llc, refine_exact);
+          pattern_bounds(ds.patterns[pi], machine.llc, refine_exact);
       parts.push_back(facts.n_ha);
       all_exact = all_exact && facts.exact;
       if (facts.provably_rejects && !per.eval_rejects) {
@@ -456,11 +273,8 @@ StructureBounds structure_bounds(const DataStructureSpec& ds,
         phase_exceeds_everywhere[pi] = false;
       }
     }
-    if (ds.size_bytes == 0 && !per.eval_rejects) {
-      per.eval_rejects = true;  // evaluator requires S_d > 0, any budget
-      per.reject_kind = ErrorKind::kDomainError;
-    }
-    if (time_bad && !per.eval_rejects) {
+    if ((ds.size_bytes == 0 || time_bad) && !per.eval_rejects) {
+      // The evaluator requires S_d > 0 and a valid T, under any budget.
       per.eval_rejects = true;
       per.reject_kind = ErrorKind::kDomainError;
     }
@@ -559,7 +373,26 @@ bool zero_steady_work(const PatternSpec& spec) noexcept {
 
 PatternFacts pattern_bounds(const PatternSpec& spec, const CacheConfig& cache,
                             bool refine_exact) {
-  return facts_for(spec, cache, refine_exact);
+  PatternFacts facts;
+  facts.zero_steady_work = zero_steady_work(spec);
+  const Phase phase{spec, cache};
+  std::visit(
+      [&](const auto& s) {
+        using T = std::decay_t<decltype(s)>;
+        if constexpr (std::is_same_v<T, StreamingSpec>) {
+          bounds_closed_form(facts, phase, try_streaming_facts(s, cache));
+        } else if constexpr (std::is_same_v<T, TiledSpec>) {
+          bounds_closed_form(facts, phase, try_tiled_facts(s, cache));
+        } else if constexpr (std::is_same_v<T, RandomSpec>) {
+          bounds_random(facts, s, phase, refine_exact);
+        } else if constexpr (std::is_same_v<T, TemplateSpec>) {
+          bounds_template(facts, s, phase, refine_exact);
+        } else {
+          bounds_reuse(facts, s, phase, refine_exact);
+        }
+      },
+      spec);
+  return facts;
 }
 
 const ModelBounds* AnalysisReport::find_model(const std::string& name) const {

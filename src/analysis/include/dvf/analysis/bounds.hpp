@@ -4,9 +4,10 @@
 // PatternFacts record: an interval containing every value the evaluator's
 // try_estimate_accesses can return for that (spec, cache), plus the
 // dataflow facts the lint rules and DVF-A3xx diagnostics consume. The
-// interval is a *point* whenever the closed form is provably cheap — the
-// transfer function then runs the evaluator's own estimator (deterministic,
-// budget-independent on success), so containment is exact. Otherwise a
+// rejection and share facts are the estimator's own facts step's
+// (try_<family>_facts, run before any budget check). The interval is a
+// *point* whenever the estimator is provably cheap — the transfer function
+// then runs it (deterministic, budget-independent on success). Otherwise a
 // coarse interval is derived from facts that hold in floating point, not
 // just over the reals (see docs/analysis.md for the soundness argument per
 // family).
@@ -29,26 +30,22 @@
 #include "dvf/common/result.hpp"
 #include "dvf/dvf/model_spec.hpp"
 #include "dvf/machine/machine.hpp"
+#include "dvf/patterns/facts.hpp"
 
 namespace dvf::analysis {
 
-/// What the analysis can prove about one pattern phase on one cache.
-struct PatternFacts {
+/// What the analysis can prove about one pattern phase on one cache, with
+/// the facts step's share facts (zero when it rejects).
+struct PatternFacts : ShareFacts {
   /// Sound bounds on try_estimate_accesses(spec, cache) when it succeeds.
   Interval n_ha = Interval::top();
   /// The interval is a point obtained from the closed form itself.
   bool exact = false;
-  /// The evaluator rejects this spec on this cache for *every* budget
-  /// (a domain/overflow precondition fails). Budget- or deadline-dependent
+  /// The evaluator rejects this spec on this cache for *every* budget: the
+  /// facts step failed, with `reject_kind`. Budget- or deadline-dependent
   /// failures never set this.
   bool provably_rejects = false;
   ErrorKind reject_kind = ErrorKind::kDomainError;
-  /// Distinct cache lines the pattern touches (0 when unknown/overflowed).
-  std::uint64_t working_set_blocks = 0;
-  /// Cache lines available to the pattern (its share of the cache).
-  std::uint64_t capacity_blocks = 0;
-  /// The working set provably exceeds that share: steady-state reuse misses.
-  bool exceeds_share = false;
   /// The declaration requests zero repeated work (iterations/visits/rounds/
   /// repetitions of zero, or an empty reference string).
   bool zero_steady_work = false;

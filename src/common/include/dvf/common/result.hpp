@@ -98,6 +98,7 @@ class [[nodiscard]] Result {
   [[nodiscard]] T&& value() && { return std::get<T>(std::move(state_)); }
   [[nodiscard]] const T& operator*() const& { return value(); }
   [[nodiscard]] T&& operator*() && { return std::move(*this).value(); }
+  [[nodiscard]] const T* operator->() const& { return &value(); }
 
   /// Error access. Precondition: !ok().
   [[nodiscard]] const EvalError& error() const& {

@@ -6,6 +6,7 @@
 #include "dvf/common/budget.hpp"
 #include "dvf/common/result.hpp"
 #include "dvf/machine/cache_config.hpp"
+#include "dvf/patterns/facts.hpp"
 #include "dvf/patterns/specs.hpp"
 
 namespace dvf {
@@ -25,14 +26,37 @@ namespace dvf {
 [[nodiscard]] double expected_misses_lru_irm(
     std::span<const double> visit_fractions, std::uint64_t cached_elements);
 
+/// Which branch of Eq. 7 an estimate takes.
+enum class RandomCase {
+  kFits,     ///< the share holds every element: compulsory misses only
+  kIrm,      ///< reloads from the profiled histogram (Che's approximation)
+  kUniform,  ///< reloads from Eq. 6's hypergeometric mean
+};
+
+/// try_estimate_random's budget-free facts step. The working set is the
+/// footprint's lines, the share `cache_ratio` of the cache's lines. The
+/// reload-path checks run only when the footprint exceeds the share.
+struct RandomFacts {
+  ShareFacts share;
+  RandomCase regime = RandomCase::kFits;
+  double footprint_blocks = 0.0;  ///< ceil(E * N / CL): the compulsory load
+  /// B_out: footprint lines not resident, the most one iteration reloads.
+  double out_blocks = 0.0;
+  std::uint64_t cached_elements = 0;  ///< m, elements the share holds
+};
+
+[[nodiscard]] Result<RandomFacts> try_random_facts(const RandomSpec& spec,
+                                                   const CacheConfig& cache);
+
 /// Estimated main-memory accesses: compulsory footprint load plus
 /// B_reload = min(B_elm, B_out) per iteration (Eq. 7). Classified EvalError
-/// instead of an exception: domain_error for invalid specs (non-positive
-/// sizes, cache_ratio outside (0, 1], non-finite k or histogram entries,
-/// k > N without a histogram), overflow when the population exceeds the
-/// checked-combinatorics range, resource_limit when the histogram is larger
-/// than the budget allows, deadline_exceeded when the budget's wall clock
-/// has expired.
+/// instead of an exception: from the facts step, domain_error for invalid
+/// specs (non-positive sizes, cache_ratio outside (0, 1], negative k,
+/// histogram entries outside [0, 1], k > N without a histogram), non_finite
+/// for a non-finite k or histogram entry, overflow when the population
+/// exceeds the checked-combinatorics range; then deadline_exceeded when the
+/// budget's wall clock has expired, resource_limit when the histogram is
+/// larger than the budget allows.
 /// `budget` may be null (process-default limits apply).
 [[nodiscard]] Result<double> try_estimate_random(const RandomSpec& spec,
                                                  const CacheConfig& cache,

@@ -11,6 +11,7 @@
 #include "dvf/common/budget.hpp"
 #include "dvf/common/result.hpp"
 #include "dvf/machine/cache_config.hpp"
+#include "dvf/patterns/facts.hpp"
 #include "dvf/patterns/specs.hpp"
 
 namespace dvf {
@@ -41,11 +42,21 @@ namespace dvf {
     const CacheConfig& cache, ReuseScenario scenario,
     ReuseOccupancy occupancy = ReuseOccupancy::kBernoulli);
 
+/// try_estimate_reuse's budget-free facts step. The working set is the
+/// target's F_A blocks, the share the whole cache.
+struct ReuseFacts {
+  ShareFacts share;
+  std::uint64_t self_blocks = 0;   ///< F_A
+  std::uint64_t other_blocks = 0;  ///< F_B
+};
+[[nodiscard]] Result<ReuseFacts> try_reuse_facts(const ReuseSpec& spec,
+                                                 const CacheConfig& cache);
+
 /// Estimated main-memory accesses: initial footprint load (F_A blocks) plus,
 /// per reuse round, the expected refetch F_A − N_A·E(R_A) (clamped at 0).
-/// Classified EvalError instead of an exception: domain_error for invalid
-/// specs (including an empty target footprint), overflow when the combined
-/// footprint wraps or exceeds the checked-combinatorics range,
+/// Classified EvalError instead of an exception: from the facts step,
+/// domain_error for an empty target footprint and overflow when the
+/// combined footprint wraps or exceeds the checked-combinatorics range; then
 /// resource_limit when the associativity makes the Eq. 13/14 double loop
 /// larger than the budget allows, deadline_exceeded on wall-clock expiry
 /// mid-convolution. `budget` may be null (process-default limits apply).

@@ -4,6 +4,7 @@
 #include "dvf/common/budget.hpp"
 #include "dvf/common/result.hpp"
 #include "dvf/machine/cache_config.hpp"
+#include "dvf/patterns/facts.hpp"
 #include "dvf/patterns/specs.hpp"
 
 namespace dvf {
@@ -17,13 +18,30 @@ namespace dvf {
 [[nodiscard]] double expected_accesses_per_element(std::uint32_t element_bytes,
                                                    std::uint32_t line_bytes);
 
+/// How many lines each reference costs (§III-C's cases by CL, E and S).
+enum class StreamingCase {
+  kEveryLine,    ///< S == E, or S < CL: every footprint line once
+  kWideStrided,  ///< CL <= E < S: A_E lines per reference (case 1)
+  kSparse,       ///< E < CL <= S: 1 + p lines per reference (case 2)
+};
+
+/// try_estimate_streaming's budget-free facts step. The working set is the
+/// footprint's lines; a traversal never reuses a line, so it never exceeds
+/// the share.
+struct StreamingFacts {
+  ShareFacts share;
+  StreamingCase regime = StreamingCase::kEveryLine;
+};
+[[nodiscard]] Result<StreamingFacts> try_streaming_facts(
+    const StreamingSpec& spec, const CacheConfig& cache);
+
 /// Estimated number of main-memory accesses for one streaming traversal.
 /// All accesses are compulsory misses; the three cases follow the ordering
 /// of CL, E and S (§III-C). Classified EvalError instead of an exception:
-/// domain_error for invalid specs (zero elements, zero stride), overflow
-/// when the footprint or stride would wrap 64 bits, non_finite if the
-/// estimate degenerates. `budget` may be null (process-default limits
-/// apply).
+/// from the facts step, domain_error for invalid specs (zero elements, zero
+/// stride) and overflow when the footprint or stride would wrap 64 bits;
+/// then deadline_exceeded, and non_finite if the estimate degenerates.
+/// `budget` may be null (process-default limits apply).
 [[nodiscard]] Result<double> try_estimate_streaming(
     const StreamingSpec& spec, const CacheConfig& cache,
     EvalBudget* budget = nullptr);

@@ -55,16 +55,27 @@ struct TemplateFootprint {
                                                    std::uint32_t line_bytes,
                                                    bool count_distinct = true);
 
+/// try_estimate_template's budget-free facts step: the lines of the
+/// structure's share. The working set, the distinct-block count, costs
+/// template_footprint's O(starts * P log), so the facts step leaves it to
+/// the callers that need it.
+struct TemplateFacts {
+  std::uint64_t capacity_blocks = 0;
+};
+[[nodiscard]] Result<TemplateFacts> try_template_facts(
+    const TemplateSpec& spec, const CacheConfig& cache);
+
 /// The two-step counting algorithm. Returns the estimated number of
 /// main-memory accesses for the reference string under a cache with
 /// `cache_ratio * total_blocks` blocks available to this structure.
-/// Classified EvalError instead of an exception: domain_error for invalid
-/// specs or an index below 0, overflow when an element index times the
-/// element size wraps 64-bit byte addressing, resource_limit when the
-/// worst-case block string (expansion) or the replayed reference count
-/// (references, charged as string length times repetitions however much the
-/// replay skips) exceeds the budget, deadline_exceeded on wall-clock expiry
-/// mid-replay. `budget` may be null (process-default limits apply).
+/// Classified EvalError instead of an exception: from the facts step,
+/// domain_error for invalid specs or an index below 0 and overflow when an
+/// element index times the element size wraps 64-bit byte addressing; then
+/// resource_limit when the worst-case block string (expansion) or the
+/// replayed reference count (references, charged as string length times
+/// repetitions however much the replay skips) exceeds the budget,
+/// deadline_exceeded on wall-clock expiry mid-replay. `budget` may be null
+/// (process-default limits apply).
 [[nodiscard]] Result<double> try_estimate_template(const TemplateSpec& spec,
                                                    const CacheConfig& cache,
                                                    EvalBudget* budget = nullptr);

@@ -100,29 +100,8 @@ double expected_misses_lru_irm(std::span<const double> visit_fractions,
   return misses.value();
 }
 
-namespace {
-
-/// Budgeted Eq. 6: the closed form costs one reference at any k.
-Result<double> try_expected_missing_elements(std::int64_t n, std::int64_t m,
-                                             std::int64_t k,
-                                             EvalBudget& budget) {
-  if (k <= 0 || n <= 0 || m >= n) {
-    return 0.0;
-  }
-  DVF_TRY_CHECK(budget.charge_references(1));  // closed form: O(1)
-  return finite_or_error(
-      expected_missing_elements(static_cast<std::uint64_t>(n),
-                                static_cast<std::uint64_t>(m),
-                                static_cast<std::uint64_t>(k)),
-      "expected missing elements (Eq. 6)");
-}
-
-}  // namespace
-
-Result<double> try_estimate_random(const RandomSpec& spec,
-                                   const CacheConfig& cache,
-                                   EvalBudget* budget_in) {
-  EvalBudget& budget = budget_or_default(budget_in);
+Result<RandomFacts> try_random_facts(const RandomSpec& spec,
+                                     const CacheConfig& cache) {
   DVF_EVAL_REQUIRE(spec.element_count > 0, "random: element count must be > 0");
   DVF_EVAL_REQUIRE(spec.element_bytes > 0, "random: element size must be > 0");
   DVF_EVAL_REQUIRE(spec.cache_ratio > 0.0 && spec.cache_ratio <= 1.0,
@@ -133,7 +112,6 @@ Result<double> try_estimate_random(const RandomSpec& spec,
   }
   DVF_EVAL_REQUIRE(spec.visits_per_iteration >= 0.0,
                    "random: k must be non-negative");
-  DVF_TRY_CHECK(budget.check_deadline());
 
   const double e = spec.element_bytes;
   const double n = static_cast<double>(spec.element_count);
@@ -141,19 +119,24 @@ Result<double> try_estimate_random(const RandomSpec& spec,
   const double footprint = e * n;
   const double cache_share = static_cast<double>(cache.capacity_bytes()) *
                              spec.cache_ratio;
-  const double footprint_blocks =
-      std::ceil(footprint / cl);  // ceil(E*N / CL): compulsory load
-
+  RandomFacts facts;
+  facts.footprint_blocks = std::ceil(footprint / cl);
+  facts.share.working_set_blocks = math::ceil_div(
+      math::saturating_mul(spec.element_bytes, spec.element_count),
+      cache.line_bytes());
+  facts.share.capacity_blocks = share_blocks(cache, spec.cache_ratio);
   // Case 1: the structure's share of the cache holds every element —
   // compulsory misses only.
   if (footprint <= cache_share) {
-    return footprint_blocks;
+    facts.regime = RandomCase::kFits;
+    return facts;
   }
+  facts.share.exceeds_share = true;
+  facts.cached_elements = static_cast<std::uint64_t>(cache_share / e);
+  const double resident_blocks = static_cast<double>(cache.total_blocks()) *
+                                 spec.cache_ratio;
+  facts.out_blocks = std::max(0.0, footprint / cl - resident_blocks);
 
-  // Case 2 (Eqs. 5–7): per iteration, X_E of the k visited elements are
-  // expected to be out of cache and must be reloaded.
-  const auto m = static_cast<std::uint64_t>(cache_share / e);  // cached elements
-  double xe;
   if (!spec.sorted_visit_fractions.empty()) {
     for (std::size_t i = 0; i < spec.sorted_visit_fractions.size(); ++i) {
       const double f = spec.sorted_visit_fractions[i];
@@ -169,56 +152,73 @@ Result<double> try_estimate_random(const RandomSpec& spec,
                        "random: visit fraction " + std::to_string(i) +
                            " must be in [0, 1]");
     }
-    // Bisection cost: ~260 occupancy probes, each a pass over the
-    // run-length-compressed histogram (bounded by its raw size).
+    facts.regime = RandomCase::kIrm;
+    return facts;
+  }
+  if (spec.element_count >
+      static_cast<std::uint64_t>(math::kMaxCombinatoricPopulation)) {
+    return EvalError{
+        ErrorKind::kOverflow,
+        "random: population " + std::to_string(spec.element_count) +
+            " exceeds the checked-combinatorics limit " +
+            std::to_string(math::kMaxCombinatoricPopulation)};
+  }
+  // Eq. 5 draws the k visited elements without replacement from N, so a
+  // larger k has no hypergeometric at all (lint's DVF-E012).
+  if (spec.visits_per_iteration > n) {
+    return EvalError{ErrorKind::kDomainError,
+                     "random: k (visits per iteration) exceeds the " +
+                         std::to_string(spec.element_count) +
+                         " elements; Eq. 5 needs k <= N"};
+  }
+  facts.regime = RandomCase::kUniform;
+  return facts;
+}
+
+Result<double> try_estimate_random(const RandomSpec& spec,
+                                   const CacheConfig& cache,
+                                   EvalBudget* budget_in) {
+  DVF_TRY_ASSIGN(facts, try_random_facts(spec, cache));
+  EvalBudget& budget = budget_or_default(budget_in);
+  DVF_TRY_CHECK(budget.check_deadline());
+
+  if (facts.regime == RandomCase::kFits) {
+    return facts.footprint_blocks;  // compulsory misses only
+  }
+
+  // Case 2 (Eqs. 5–7): per iteration, X_E of the k visited elements are
+  // expected to be out of cache and must be reloaded.
+  const std::uint64_t m = facts.cached_elements;
+  double xe;
+  if (facts.regime == RandomCase::kIrm) {
+    // 260 bounds the root search: at most 51 doubling checks (Tc up to
+    // 2^50), at most 200 bisection steps and one miss pass, each a pass over
+    // the run-length-compressed histogram (bounded by its raw size). A
+    // typical histogram needs far fewer (48 passes in EXPERIMENTS.md).
     DVF_TRY_CHECK(budget.charge_references(
         math::saturating_mul(spec.sorted_visit_fractions.size(), 260)));
     xe = expected_misses_lru_irm(spec.sorted_visit_fractions, m);
   } else {
-    if (spec.element_count >
-        static_cast<std::uint64_t>(math::kMaxCombinatoricPopulation)) {
-      return EvalError{
-          ErrorKind::kOverflow,
-          "random: population " + std::to_string(spec.element_count) +
-              " exceeds the checked-combinatorics limit " +
-              std::to_string(math::kMaxCombinatoricPopulation)};
-    }
-    // Eq. 5 draws the k visited elements without replacement from N, so a
-    // larger k has no hypergeometric at all (lint's DVF-E012).
-    if (spec.visits_per_iteration > n) {
-      return EvalError{ErrorKind::kDomainError,
-                       "random: k (visits per iteration) exceeds the " +
-                           std::to_string(spec.element_count) +
-                           " elements; Eq. 5 needs k <= N"};
-    }
     // k is finite and at most N <= 2^48 here, so llround is defined.
     const auto k =
-        static_cast<std::int64_t>(std::llround(spec.visits_per_iteration));
-    // Clamp m to the population before the signed cast: m can reach 2^64 / E
-    // for huge caches, and Eq. 6 only cares whether m >= n anyway.
-    const auto m_clamped = static_cast<std::int64_t>(
-        std::min<std::uint64_t>(m, spec.element_count));
-    DVF_TRY_ASSIGN(missing, try_expected_missing_elements(
-                                static_cast<std::int64_t>(spec.element_count),
-                                m_clamped, k, budget));
-    xe = missing;
+        static_cast<std::uint64_t>(std::llround(spec.visits_per_iteration));
+    if (k > 0 && m < spec.element_count) {
+      DVF_TRY_CHECK(budget.charge_references(1));  // Eq. 6 is O(1) at any k
+    }
+    xe = expected_missing_elements(spec.element_count, m, k);
   }
 
   // B_elm: blocks needed to bring the missing elements in. When an element
   // spans multiple lines each miss costs ceil(E/CL) blocks; otherwise at
   // most one block per missing element.
+  const double e = spec.element_bytes;
+  const double cl = cache.line_bytes();
   const double blocks_per_element = cl < e ? std::ceil(e / cl) : 1.0;
   const double b_elm = blocks_per_element * xe;
 
-  // B_out: blocks of the structure that are not resident — an upper bound on
-  // what one iteration can possibly reload.
-  const double resident_blocks = static_cast<double>(cache.total_blocks()) *
-                                 spec.cache_ratio;
-  const double b_out = std::max(0.0, footprint / cl - resident_blocks);
-
-  const double b_reload = std::min(b_elm, b_out);  // Eq. 7
+  const double b_reload = std::min(b_elm, facts.out_blocks);  // Eq. 7
   return finite_or_error(
-      footprint_blocks + b_reload * static_cast<double>(spec.iterations),
+      facts.footprint_blocks + b_reload * static_cast<double>(spec.iterations),
       "random estimate (Eq. 7)");
 }
 

@@ -96,19 +96,12 @@ std::vector<double> set_occupancy_contiguous(std::uint64_t total_blocks,
 
 namespace {
 
-/// Budgeted core of survivor_distribution. The (CA+1)^2 convolution with
-/// O(CA) work per cell is charged up front — an adversarial associativity
-/// turns it into a cube of the associativity — and the wall clock is
-/// observed once per row.
-Result<std::vector<double>> try_survivor_distribution(
-    std::uint64_t self_blocks, std::uint64_t other_blocks,
-    const CacheConfig& cache, ReuseScenario scenario, ReuseOccupancy occupancy,
-    EvalBudget& budget) {
-  const auto ca = static_cast<std::int64_t>(cache.associativity());
-  const auto ca_plus_1 = static_cast<std::uint64_t>(ca) + 1;
-  DVF_TRY_CHECK(budget.charge_references(
-      math::saturating_mul(math::saturating_mul(ca_plus_1, ca_plus_1),
-                           ca_plus_1)));
+/// The occupancy models' population preconditions: F_A + F_B must not wrap,
+/// and the Bernoulli model's binomials need it within the
+/// checked-combinatorics range.
+Result<void> try_check_population(std::uint64_t self_blocks,
+                                  std::uint64_t other_blocks,
+                                  ReuseOccupancy occupancy) {
   if (self_blocks > ~std::uint64_t{0} - other_blocks) {
     return EvalError{ErrorKind::kOverflow,
                      "reuse: combined footprint overflows 64 bits"};
@@ -123,6 +116,23 @@ Result<std::vector<double>> try_survivor_distribution(
             " blocks exceeds the checked-combinatorics limit " +
             std::to_string(math::kMaxCombinatoricPopulation)};
   }
+  return {};
+}
+
+/// Budgeted core of survivor_distribution, for a population that passed
+/// try_check_population. The (CA+1)^2 convolution with O(CA) work per cell
+/// is charged up front — an adversarial associativity turns it into a cube
+/// of the associativity — and the wall clock is observed once per row.
+Result<std::vector<double>> try_survivor_distribution(
+    std::uint64_t self_blocks, std::uint64_t other_blocks,
+    const CacheConfig& cache, ReuseScenario scenario, ReuseOccupancy occupancy,
+    EvalBudget& budget) {
+  const auto ca = static_cast<std::int64_t>(cache.associativity());
+  const auto ca_plus_1 = static_cast<std::uint64_t>(ca) + 1;
+  DVF_TRY_CHECK(budget.charge_references(
+      math::saturating_mul(math::saturating_mul(ca_plus_1, ca_plus_1),
+                           ca_plus_1)));
+  const std::uint64_t combined_blocks = self_blocks + other_blocks;
 
   const auto occupancy_of = [&](std::uint64_t blocks) {
     return occupancy == ReuseOccupancy::kContiguous
@@ -182,26 +192,39 @@ std::vector<double> survivor_distribution(std::uint64_t self_blocks,
                                           const CacheConfig& cache,
                                           ReuseScenario scenario,
                                           ReuseOccupancy occupancy) {
+  try_check_population(self_blocks, other_blocks, occupancy).value_or_throw();
   return try_survivor_distribution(self_blocks, other_blocks, cache, scenario,
                                    occupancy,
                                    EvalBudget::process_default())
       .value_or_throw();
 }
 
+Result<ReuseFacts> try_reuse_facts(const ReuseSpec& spec,
+                                   const CacheConfig& cache) {
+  DVF_EVAL_REQUIRE(spec.self_bytes > 0, "reuse: target footprint must be > 0");
+  const std::uint64_t cl = cache.line_bytes();
+  ReuseFacts facts;
+  facts.self_blocks = math::ceil_div(spec.self_bytes, cl);
+  facts.other_blocks = math::ceil_div(spec.other_bytes, cl);
+  DVF_TRY_CHECK(try_check_population(facts.self_blocks, facts.other_blocks,
+                                     spec.occupancy));
+  facts.share.working_set_blocks = facts.self_blocks;
+  facts.share.capacity_blocks = cache.total_blocks();
+  facts.share.exceeds_share = facts.self_blocks > cache.total_blocks();
+  return facts;
+}
+
 Result<double> try_estimate_reuse(const ReuseSpec& spec,
                                   const CacheConfig& cache,
                                   EvalBudget* budget_in) {
+  DVF_TRY_ASSIGN(facts, try_reuse_facts(spec, cache));
   EvalBudget& budget = budget_or_default(budget_in);
-  DVF_EVAL_REQUIRE(spec.self_bytes > 0, "reuse: target footprint must be > 0");
   DVF_TRY_CHECK(budget.check_deadline());
 
-  const std::uint64_t cl = cache.line_bytes();
-  const std::uint64_t fa = math::ceil_div(spec.self_bytes, cl);
-  const std::uint64_t fb = math::ceil_div(spec.other_bytes, cl);
-
-  DVF_TRY_ASSIGN(dist,
-                 try_survivor_distribution(fa, fb, cache, spec.scenario,
-                                           spec.occupancy, budget));
+  const std::uint64_t fa = facts.self_blocks;
+  DVF_TRY_ASSIGN(dist, try_survivor_distribution(fa, facts.other_blocks, cache,
+                                                 spec.scenario, spec.occupancy,
+                                                 budget));
   const double expected_resident =
       static_cast<double>(cache.num_sets()) * expected_occupancy(dist);
 

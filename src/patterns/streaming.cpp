@@ -25,19 +25,14 @@ double expected_accesses_per_element(std::uint32_t element_bytes,
   return std::floor(static_cast<double>(element_bytes) / line_bytes) + p;
 }
 
-Result<double> try_estimate_streaming(const StreamingSpec& spec,
-                                      const CacheConfig& cache,
-                                      EvalBudget* budget) {
+Result<StreamingFacts> try_streaming_facts(const StreamingSpec& spec,
+                                           const CacheConfig& cache) {
   DVF_EVAL_REQUIRE(spec.element_count > 0,
                    "streaming: element count must be > 0");
   DVF_EVAL_REQUIRE(spec.element_bytes > 0,
                    "streaming: element size must be > 0");
   DVF_EVAL_REQUIRE(spec.stride_elements >= 1,
                    "streaming: stride must be at least one element");
-  DVF_TRY_CHECK(budget_or_default(budget).check_deadline());
-
-  const std::uint64_t cl = cache.line_bytes();
-  const std::uint64_t e = spec.element_bytes;
   // footprint_bytes()/stride_bytes() multiply two user-controlled 64-bit
   // quantities; a wrapped product would silently model a tiny structure.
   constexpr std::uint64_t kU64Max = ~std::uint64_t{0};
@@ -50,34 +45,48 @@ Result<double> try_estimate_streaming(const StreamingSpec& spec,
     return EvalError{ErrorKind::kOverflow,
                      "streaming: stride in bytes overflows 64 bits"};
   }
+
+  const std::uint64_t cl = cache.line_bytes();
+  const std::uint64_t e = spec.element_bytes;
   const std::uint64_t s = spec.stride_bytes();
-  const std::uint64_t d = spec.footprint_bytes();
-  const double p = misalignment_probability(spec.element_bytes, cache.line_bytes());
-
-  // Case 1: CL <= E. Each reference needs floor(E/CL) lines plus possibly
-  // one more when out of alignment.
-  if (cl <= e) {
-    if (s > e) {
-      const double ae = expected_accesses_per_element(spec.element_bytes,
-                                                      cache.line_bytes());
-      return finite_or_error(static_cast<double>(math::ceil_div(d, s)) * ae,
-                             "streaming estimate");
-    }
-    // Contiguous traversal (S == E): every line of the footprint is loaded
-    // exactly once.
-    return static_cast<double>(math::ceil_div(d, cl));
+  StreamingFacts facts;
+  facts.share.working_set_blocks = math::ceil_div(spec.footprint_bytes(), cl);
+  facts.share.capacity_blocks = cache.total_blocks();
+  if (cl <= e && s > e) {
+    facts.regime = StreamingCase::kWideStrided;
+  } else if (e < cl && cl <= s) {
+    facts.regime = StreamingCase::kSparse;
   }
+  return facts;
+}
 
-  // Case 2: E < CL <= S. No line serves two referenced elements; each
-  // reference costs 1 line, or 2 when the element straddles a boundary.
-  if (cl <= s) {
+Result<double> try_estimate_streaming(const StreamingSpec& spec,
+                                      const CacheConfig& cache,
+                                      EvalBudget* budget) {
+  DVF_TRY_ASSIGN(facts, try_streaming_facts(spec, cache));
+  DVF_TRY_CHECK(budget_or_default(budget).check_deadline());
+
+  const double references = static_cast<double>(
+      math::ceil_div(spec.footprint_bytes(), spec.stride_bytes()));
+  if (facts.regime == StreamingCase::kWideStrided) {
+    // Case 1, CL <= E < S: each reference needs floor(E/CL) lines plus
+    // possibly one more when out of alignment.
     return finite_or_error(
-        static_cast<double>(math::ceil_div(d, s)) * (1.0 + p),
+        references * expected_accesses_per_element(spec.element_bytes,
+                                                   cache.line_bytes()),
         "streaming estimate");
   }
-
-  // Case 3: S < CL. Strided or not, every line of the footprint is touched.
-  return static_cast<double>(math::ceil_div(d, cl));
+  if (facts.regime == StreamingCase::kSparse) {
+    // Case 2: E < CL <= S. No line serves two referenced elements; each
+    // reference costs 1 line, or 2 when the element straddles a boundary.
+    return finite_or_error(
+        references * (1.0 + misalignment_probability(spec.element_bytes,
+                                                     cache.line_bytes())),
+        "streaming estimate");
+  }
+  // Case 1 with S == E (contiguous), or case 3, S < CL: every line of the
+  // footprint is loaded exactly once.
+  return static_cast<double>(facts.share.working_set_blocks);
 }
 
 }  // namespace dvf

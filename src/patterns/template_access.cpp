@@ -8,6 +8,7 @@
 
 #include "dvf/common/error.hpp"
 #include "dvf/common/math.hpp"
+#include "dvf/patterns/facts.hpp"
 
 namespace dvf {
 
@@ -756,10 +757,8 @@ TemplateFootprint template_footprint(const TemplateSpec& spec,
   return out;
 }
 
-Result<double> try_estimate_template(const TemplateSpec& spec,
-                                     const CacheConfig& cache,
-                                     EvalBudget* budget_in) {
-  EvalBudget& budget = budget_or_default(budget_in);
+Result<TemplateFacts> try_template_facts(const TemplateSpec& spec,
+                                         const CacheConfig& cache) {
   DVF_EVAL_REQUIRE(!spec.starts.empty(),
                    "template: reference string must not be empty");
   DVF_EVAL_REQUIRE(spec.count >= 1, "template: count must be >= 1");
@@ -768,8 +767,16 @@ Result<double> try_estimate_template(const TemplateSpec& spec,
   DVF_EVAL_REQUIRE(spec.cache_ratio > 0.0 && spec.cache_ratio <= 1.0,
                    "template: cache ratio must be in (0, 1]");
   DVF_EVAL_REQUIRE(spec.repetitions >= 1, "template: repetitions must be >= 1");
-  DVF_TRY_CHECK(budget.check_deadline());
   DVF_TRY_CHECK(try_check_template_indices(spec));
+  return TemplateFacts{share_blocks(cache, spec.cache_ratio)};
+}
+
+Result<double> try_estimate_template(const TemplateSpec& spec,
+                                     const CacheConfig& cache,
+                                     EvalBudget* budget_in) {
+  DVF_TRY_ASSIGN(facts, try_template_facts(spec, cache));
+  EvalBudget& budget = budget_or_default(budget_in);
+  DVF_TRY_CHECK(budget.check_deadline());
 
   // Worst-case block string: each element covers at most E/CL + 1 blocks.
   // Charged as expansion before anything is allocated.
@@ -778,13 +785,12 @@ Result<double> try_estimate_template(const TemplateSpec& spec,
   DVF_TRY_CHECK(budget.charge_expansion(
       math::saturating_mul(spec.length(), e / cl + 1)));
 
-  const auto capacity_blocks = static_cast<std::uint64_t>(
-      static_cast<double>(cache.total_blocks()) * spec.cache_ratio);
   const int line_shift = std::countr_zero(cache.line_bytes());
   if (spec.count == 1 || spec.distance == DistanceKind::kRaw) {
-    return estimate_materialized(spec, line_shift, capacity_blocks, budget);
+    return estimate_materialized(spec, line_shift, facts.capacity_blocks,
+                                 budget);
   }
-  return estimate_progression(spec, line_shift, capacity_blocks, budget);
+  return estimate_progression(spec, line_shift, facts.capacity_blocks, budget);
 }
 
 }  // namespace dvf

@@ -308,6 +308,57 @@ TEST(PatternBounds, ProvableRejectionMatchesTheEvaluator) {
   EXPECT_EQ(facts.reject_kind, result.error().kind);
 }
 
+// A provable rejection is a for-every-budget statement: the estimator
+// checks its facts step before any budget, so the kind it reports does not
+// depend on the limits, on the deadline, or on cancellation.
+TEST(AnalysisFacts, RejectKindIsBudgetIndependent) {
+  ReuseSpec reuse;  // Bernoulli population past the checked range
+  reuse.self_bytes = 4096;
+  reuse.other_bytes = std::uint64_t{1} << 60;
+  RandomSpec random;  // uniform population past the checked range
+  random.element_count = std::uint64_t{1} << 50;
+  random.element_bytes = 8;
+  random.visits_per_iteration = 1.0;
+  random.iterations = 1;
+  StreamingSpec stream;  // footprint wraps 64 bits
+  stream.element_bytes = 8;
+  stream.element_count = std::uint64_t{1} << 62;
+  TiledSpec tiled;  // footprint wraps 64 bits
+  tiled.element_bytes = 8;
+  tiled.rows = std::uint64_t{1} << 40;
+  tiled.cols = std::uint64_t{1} << 30;
+  TemplateSpec tmpl;  // index 5 - 9 is negative
+  tmpl.starts = {5};
+  tmpl.step = -1;
+  tmpl.count = 10;
+
+  EvalLimits one;
+  one.max_references = 1;
+  one.max_expansion = 1;
+  for (const PatternSpec& spec :
+       {PatternSpec{reuse}, PatternSpec{random}, PatternSpec{stream},
+        PatternSpec{tiled}, PatternSpec{tmpl}}) {
+    for (const CacheConfig& cache : caches::all_profiling()) {
+      const PatternFacts facts = pattern_bounds(spec, cache);
+      ASSERT_TRUE(facts.provably_rejects)
+          << pattern_letter(spec) << " on " << cache.describe();
+      EvalBudget plenty;
+      EvalBudget tight(one);
+      EvalBudget cancelled;
+      cancelled.cancel();
+      for (EvalBudget* budget : {&plenty, &tight, &cancelled}) {
+        const Result<double> result =
+            try_estimate_accesses(spec, cache, budget);
+        ASSERT_FALSE(result.ok());
+        EXPECT_STREQ(to_string(result.error().kind),
+                     to_string(facts.reject_kind))
+            << pattern_letter(spec) << " on " << cache.describe() << ": "
+            << result.error().message;
+      }
+    }
+  }
+}
+
 TEST(PatternBounds, ZeroSteadyWorkFacts) {
   StreamingSpec stream;
   stream.element_bytes = 8;

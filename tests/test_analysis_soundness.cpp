@@ -3,12 +3,16 @@
 // regression case — the intervals `dvfc analyze` reports must contain the
 // exact values the evaluator computes, on every machine the file declares
 // AND on the full profiling-cache matrix. A provably-rejects verdict must
-// never coexist with evaluator success.
+// never coexist with evaluator success. The phase-level facts of the same
+// files are pinned against a committed table (analysis_facts_golden.txt).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <fstream>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dvf/analysis/bounds.hpp"
@@ -149,6 +153,74 @@ TEST(AnalysisSoundness, PaperModelsAreContained) {
 
 TEST(AnalysisSoundness, LintCasesAreContained) {
   check_directory(DVF_LINT_CASES_DIR);
+}
+
+/// One row per phase of every bundled model and lint case, on every
+/// declared machine ("m:") and every Table IV cache ("c:"): the integer and
+/// boolean facts pattern_bounds reports. No floating-point value is pinned,
+/// so the table does not depend on libm.
+std::vector<std::string> facts_rows() {
+  std::vector<CacheConfig> table_iv = {caches::small_verification(),
+                                       caches::large_verification()};
+  for (CacheConfig& cache : caches::all_profiling()) {
+    table_iv.push_back(std::move(cache));
+  }
+  std::vector<std::string> rows;
+  for (const char* dir : {DVF_MODELS_DIR, DVF_LINT_CASES_DIR}) {
+    for (const fs::path& path : aspen_files(dir)) {
+      const dsl::SemanticAnalysis result =
+          dsl::analyze_models_file(path.string());
+      if (!result.report.has_value()) {
+        continue;
+      }
+      std::vector<std::pair<std::string, CacheConfig>> targets;
+      for (const Machine& machine : result.program.machines) {
+        targets.emplace_back("m:" + machine.name, machine.llc);
+      }
+      for (const CacheConfig& cache : table_iv) {
+        targets.emplace_back("c:" + cache.name(), cache);
+      }
+      const std::string file =
+          path.parent_path().filename().string() + "/" +
+          path.filename().string();
+      for (const ModelSpec& model : result.program.models) {
+        for (const DataStructureSpec& ds : model.structures) {
+          for (std::size_t p = 0; p < ds.patterns.size(); ++p) {
+            for (const auto& [target, cache] : targets) {
+              const PatternFacts f = pattern_bounds(ds.patterns[p], cache);
+              rows.push_back(
+                  file + " " + model.name + "/" + ds.name + "#" +
+                  std::to_string(p) + " " + target +
+                  " rejects=" + std::to_string(f.provably_rejects) +
+                  " kind=" + (f.provably_rejects ? to_string(f.reject_kind)
+                                                 : "-") +
+                  " exact=" + std::to_string(f.exact) +
+                  " ws=" + std::to_string(f.working_set_blocks) +
+                  " cap=" + std::to_string(f.capacity_blocks) +
+                  " exceeds=" + std::to_string(f.exceeds_share) +
+                  " zero=" + std::to_string(f.zero_steady_work));
+            }
+          }
+        }
+      }
+    }
+  }
+  return rows;
+}
+
+TEST(AnalysisFacts, BundledPhasesMatchTheGoldenTable) {
+  std::ifstream in(DVF_ANALYSIS_FACTS_GOLDEN);
+  ASSERT_TRUE(in) << DVF_ANALYSIS_FACTS_GOLDEN;
+  std::vector<std::string> golden;
+  for (std::string line; std::getline(in, line);) {
+    golden.push_back(line);
+  }
+  const std::vector<std::string> rows = facts_rows();
+  for (std::size_t i = 0; i < std::max(rows.size(), golden.size()); ++i) {
+    const std::string got = i < rows.size() ? rows[i] : "(no row)";
+    const std::string want = i < golden.size() ? golden[i] : "(no row)";
+    ASSERT_EQ(got, want) << "first differing row, line " << i + 1;
+  }
 }
 
 }  // namespace
