@@ -7,8 +7,8 @@
 // synthetic reference strings that isolate the hot-path ingredients (the
 // power-of-two set-index mask vs the modulo fallback, the per-call access()
 // entry vs the batched replay() loop, set-sharded parallel replay at 1-8
-// threads, the PLRU/RRIP policy scans) and measures the trace wire format
-// (delta+run encoded size, plus chunked streaming replay). Beside those it
+// threads) and measures the trace wire format (delta+run encoded size, plus
+// chunked streaming replay). Beside those it
 // records the other side of the comparison: ns per call of each analytical
 // pattern estimator, the VM kernel bare vs driven through the simulator, and
 // the per-primitive costs of the obs layer and of a disabled failpoint. It
@@ -32,7 +32,6 @@
 
 #include "bench_json.hpp"
 #include "dvf/cachesim/cache_simulator.hpp"
-#include "dvf/cachesim/replacement.hpp"
 #include "dvf/cachesim/sharded_replay.hpp"
 #include "dvf/common/failpoint.hpp"
 #include "dvf/common/rng.hpp"
@@ -152,22 +151,20 @@ struct Scenario {
   bool random;
   bool batched;  ///< replay() vs per-record access()
   unsigned threads = 1;
-  dvf::ReplacementPolicy policy = dvf::ReplacementPolicy::kLru;
   bool observed = false;  ///< obs layer recording during the run
 };
 
 double run_once(const Scenario& scenario,
                 const std::vector<dvf::MemoryRecord>& records) {
   if (scenario.threads > 1) {
-    dvf::ShardedReplayer sim(scenario.cache, scenario.threads,
-                             scenario.policy);
+    dvf::ShardedReplayer sim(scenario.cache, scenario.threads);
     sim.reserve_structures(kStructures);
     const dvf::kernels::Stopwatch watch;
     sim.replay(records);
     sim.flush();
     return watch.seconds();
   }
-  dvf::CacheSimulator sim(scenario.cache, scenario.policy);
+  dvf::CacheSimulator sim(scenario.cache);
   sim.reserve_structures(kStructures);
   const dvf::kernels::Stopwatch watch;
   if (scenario.batched) {
@@ -225,15 +222,8 @@ int main() {
       // The same replay with the obs layer recording, run next to it so
       // enabled_overhead_pct compares like with like; the layer promises
       // no per-reference work (docs/observability.md).
-      {"rand_replay_pow2_obs", pow2, true, true, 1,
-       dvf::ReplacementPolicy::kLru, true},
+      {"rand_replay_pow2_obs", pow2, true, true, 1, true},
       {"rand_replay_modulo", nonpow2, true, true},
-      // Policy scans on the single-stream hot path: PLRU reads one bit
-      // vector, RRIP may loop over ages — both priced against true LRU.
-      {"rand_replay_plru", pow2, true, true, 1,
-       dvf::ReplacementPolicy::kPlru},
-      {"rand_replay_rrip", pow2, true, true, 1,
-       dvf::ReplacementPolicy::kRrip},
       // Set-sharded replay: every worker scans the full span and keeps the
       // sets it owns, so speedup needs real cores (see docs/performance.md
       // "When sharding loses").
@@ -250,18 +240,16 @@ int main() {
 
   dvf::bench::JsonRecords json;
   dvf::Table table(
-      {"scenario", "cache", "thr", "policy", "wall_s", "Maccesses/s"});
+      {"scenario", "cache", "thr", "wall_s", "Maccesses/s"});
   const auto replay_record = [&](const Scenario& scenario, double seconds) {
     const double rate = static_cast<double>(accesses) / seconds;
     table.add_row({scenario.name, scenario.cache.name(),
                    dvf::num(static_cast<double>(scenario.threads)),
-                   dvf::policy_name(scenario.policy),
                    dvf::num(seconds, 3), dvf::num(rate / 1e6, 2)});
     Record r = record(scenario.name);
     r.field("cache", scenario.cache.name())
         .field("accesses", accesses)
         .field("threads", scenario.threads)
-        .field("policy", std::string(dvf::policy_name(scenario.policy)))
         .field("wall_s", seconds)
         .field("accesses_per_s", rate);
     return r;
@@ -294,7 +282,7 @@ int main() {
     const std::uint64_t v2_bytes = v2.str().size();
     const double bytes_per_record =
         static_cast<double>(v2_bytes) / static_cast<double>(accesses);
-    table.add_row({std::string("trace_size_") + corpus, "v2", "-", "-", "-",
+    table.add_row({std::string("trace_size_") + corpus, "v2", "-", "-",
                    dvf::num(bytes_per_record, 3) + " B/record"});
     Record size_record = record(std::string("trace_size_") + corpus);
     size_record.field("records", accesses)
@@ -327,7 +315,7 @@ int main() {
         [&] { g_sink = g_sink + estimate(profiling).value_or_throw(); },
         min_seconds);
     const std::string name = std::string("model_") + family + "_" + size;
-    table.add_row({name, profiling.name(), "1", "-", "-",
+    table.add_row({name, profiling.name(), "1", "-",
                    dvf::num(ns, 4) + " ns/call"});
     Record r = record(name);
     r.field("family", std::string(family))
@@ -368,7 +356,9 @@ int main() {
     json.add(r);
   }
   // The IRM variant: a Zipf popularity histogram over the same structure.
-  for (const std::uint64_t n : sizes({100'000, 1'000'000})) {
+  // Both footprints (6.4 MB, 32 MB) exceed the 4 MiB share, so every call
+  // runs Che's characteristic-time solver.
+  for (const std::uint64_t n : sizes({200'000, 1'000'000})) {
     dvf::RandomSpec spec;
     spec.element_count = n;
     spec.element_bytes = 32;
@@ -434,8 +424,8 @@ int main() {
         },
         min_seconds).first;
     const double ratio = simulated_ns / bare_ns;
-    table.add_row({"kernel_vm_bare_vs_sim", profiling.name(), "1", "lru",
-                   "-", dvf::num(ratio, 3) + "x slower simulated"});
+    table.add_row({"kernel_vm_bare_vs_sim", profiling.name(), "1", "-",
+                   dvf::num(ratio, 3) + "x slower simulated"});
     Record r = record("kernel_vm_bare_vs_sim");
     r.field("kernel", std::string("VM"))
         .field("iterations", config.iterations)
@@ -496,7 +486,7 @@ int main() {
     const double failpoint_ns = per_op_ns(failpoint_watch, hook_ops);
     (void)sink;
 
-    table.add_row({"obs_primitives", "-", "1", "-", "-",
+    table.add_row({"obs_primitives", "-", "1", "-",
                    "branch " + dvf::num(branch_ns, 3) + " / counter " +
                        dvf::num(counter_ns, 3) + " / histogram " +
                        dvf::num(hist_ns, 3) + " / span " +

@@ -12,7 +12,7 @@ downstream trajectory tooling can rely on:
   - records sharing a scenario name do not appear twice (a duplicate means
     the harness double-reported);
   - for the cachesim harness specifically: every record carries
-    ``hardware_threads``; the sharded scenarios carry ``threads``/``policy``,
+    ``hardware_threads``; the sharded scenarios carry ``threads`` >= 2,
     and the trace-size records carry consistent
     ``records``/``v2_bytes``/``bytes_per_record``; the ``_obs`` replay
     carries ``enabled_overhead_pct``; every estimator family (streaming,
@@ -109,8 +109,8 @@ def check_file(path: str) -> int:
             require(record.get("hardware_threads", 0) >= 1,
                     f"{where}: needs hardware_threads >= 1")
             if "sharded" in scenario:
-                for key in ("threads", "policy"):
-                    require(key in record, f"{where}: sharded needs '{key}'")
+                require("threads" in record,
+                        f"{where}: sharded needs 'threads'")
                 require(record["threads"] >= 2,
                         f"{where}: sharded threads must be >= 2")
             if scenario.startswith("trace_size_"):

@@ -47,10 +47,13 @@ CODE_SPAN_RE = re.compile(r"`([^`]+)`")
 
 
 def git_markdown_files(root: pathlib.Path) -> list[pathlib.Path]:
+    """Tracked *.md files present in the worktree (a tracked file deleted
+    but not yet staged is skipped, not read)."""
     out = subprocess.run(
         ["git", "ls-files", "*.md", "**/*.md"],
         cwd=root, capture_output=True, text=True, check=True)
-    return [root / line for line in out.stdout.splitlines() if line]
+    paths = (root / line for line in out.stdout.splitlines() if line)
+    return [path for path in paths if path.is_file()]
 
 
 def dvfc_reported_flags(dvfc: pathlib.Path) -> set[str]:

@@ -9,6 +9,7 @@
 #include "dvf/common/budget.hpp"
 #include "dvf/common/math.hpp"
 #include "dvf/common/units.hpp"
+#include "dvf/dvf/calculator.hpp"
 #include "dvf/obs/obs.hpp"
 #include "dvf/patterns/estimate.hpp"
 #include "dvf/patterns/template_access.hpp"
@@ -250,12 +251,20 @@ StructureBounds structure_bounds(const DataStructureSpec& ds,
   // overflows its share on every configured machine.
   std::vector<bool> phase_exceeds_everywhere(ds.patterns.size(),
                                              !machines.empty());
+  // The evaluator checks S_d and T before any phase, under any budget, so a
+  // failed precondition decides the reject kind on every machine.
+  const Result<void> preconditions =
+      try_structure_preconditions(ds, exec_time);
   const bool time_bad =
       exec_time && (!std::isfinite(*exec_time) || *exec_time < 0.0);
 
   for (std::size_t mi = 0; mi < machines.size(); ++mi) {
     const Machine& machine = machines[mi];
     StructureBounds::PerMachine& per = out.per_machine[mi];
+    if (!preconditions.ok()) {
+      per.eval_rejects = true;
+      per.reject_kind = preconditions.error().kind;
+    }
 
     std::vector<Interval> parts;
     parts.reserve(ds.patterns.size());
@@ -273,19 +282,17 @@ StructureBounds structure_bounds(const DataStructureSpec& ds,
         phase_exceeds_everywhere[pi] = false;
       }
     }
-    if ((ds.size_bytes == 0 || time_bad) && !per.eval_rejects) {
-      // The evaluator requires S_d > 0 and a valid T, under any budget.
-      per.eval_rejects = true;
-      per.reject_kind = ErrorKind::kDomainError;
-    }
 
     per.n_ha = sum_intervals(parts, all_exact);
     per.exact = all_exact && per.n_ha.is_point();
     if (all_exact && !std::isfinite(per.n_ha.hi)) {
       // The exact composed sum is infinite: the evaluator's
-      // finite_or_error rejects it deterministically.
+      // finite_or_error rejects it deterministically, unless an earlier
+      // check already did.
+      if (!per.eval_rejects) {
+        per.reject_kind = ErrorKind::kNonFinite;
+      }
       per.eval_rejects = true;
-      per.reject_kind = ErrorKind::kNonFinite;
       per.n_ha = Interval::top();
       per.exact = false;
     }

@@ -71,7 +71,7 @@ struct StructureBounds {
     Interval n_ha;  ///< contains the evaluator's N_ha on this machine
     Interval dvf;   ///< contains the evaluator's DVF_d (top when T unknown)
     bool exact = false;          ///< every phase bound is a point
-    bool eval_rejects = false;   ///< some phase provably rejects here
+    bool eval_rejects = false;   ///< the evaluator provably rejects it here
     ErrorKind reject_kind = ErrorKind::kDomainError;
   };
   /// Parallel to AnalysisReport::machines (input order).

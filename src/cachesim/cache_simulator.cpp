@@ -21,35 +21,26 @@ struct ReplayCounters {
   obs::Counter evictions = obs::counter("cachesim.evictions");
 };
 
-/// SRRIP re-reference prediction values (2-bit, hit-priority): insertion
-/// predicts a long re-reference interval, a hit promotes to near-immediate,
-/// replacement takes the first way predicted distant.
-constexpr std::uint64_t kRripDistant = 3;
-constexpr std::uint64_t kRripLong = 2;
-constexpr std::uint64_t kRripNear = 0;
-
 }  // namespace
 
-CacheSimulator::CacheSimulator(CacheConfig config, ReplacementPolicy policy)
+CacheSimulator::CacheSimulator(CacheConfig config)
     : config_(std::move(config)),
       num_sets_(config_.num_sets()),
       assoc_(config_.associativity()),
       line_shift_(static_cast<std::uint32_t>(
           std::countr_zero(config_.line_bytes()))),
       set_mask_(num_sets_ - 1),
-      sets_pow2_(std::has_single_bit(num_sets_)),
-      policy_(policy) {
+      sets_pow2_(std::has_single_bit(num_sets_)) {
   const std::size_t ways = static_cast<std::size_t>(num_sets_) * assoc_;
   tags_.assign(ways, kInvalidTag);
-  meta_.assign(ways, 0);
+  stamps_.assign(ways, 0);
   owners_.assign(ways, kNoDs);
   flags_.assign(ways, 0);
 }
 
 CacheSimulator::CacheSimulator(CacheConfig config,
-                               const DataStructureRegistry& registry,
-                               ReplacementPolicy policy)
-    : CacheSimulator(std::move(config), policy) {
+                               const DataStructureRegistry& registry)
+    : CacheSimulator(std::move(config)) {
   reserve_structures(registry.size());
 }
 
@@ -157,72 +148,6 @@ void CacheSimulator::replay_instrumented(
   counters.evictions.add(evictions_ - evictions_before);
 }
 
-void CacheSimulator::promote_way(std::uint64_t* meta, std::uint32_t way,
-                                 bool filled) {
-  switch (policy_) {
-    case ReplacementPolicy::kLru:
-      meta[way] = tick_;
-      break;
-    case ReplacementPolicy::kPlru: {
-      meta[way] = 1;
-      // Bit-PLRU saturation: once every way is "recent", forget everything
-      // except the access that saturated the set.
-      bool all_set = true;
-      for (std::uint32_t w = 0; w < assoc_; ++w) {
-        all_set = all_set && meta[w] != 0;
-      }
-      if (all_set) {
-        std::fill(meta, meta + assoc_, std::uint64_t{0});
-        meta[way] = 1;
-      }
-      break;
-    }
-    case ReplacementPolicy::kRrip:
-      meta[way] = filled ? kRripLong : kRripNear;
-      break;
-  }
-}
-
-std::uint32_t CacheSimulator::choose_victim(std::uint64_t* meta,
-                                            const std::uint8_t* flags) {
-  // Invalid ways fill first under every policy.
-  for (std::uint32_t w = 0; w < assoc_; ++w) {
-    if ((flags[w] & kValidFlag) == 0) {
-      return w;
-    }
-  }
-  switch (policy_) {
-    case ReplacementPolicy::kLru: {
-      std::uint32_t victim = 0;
-      for (std::uint32_t w = 1; w < assoc_; ++w) {
-        if (meta[w] < meta[victim]) {
-          victim = w;
-        }
-      }
-      return victim;
-    }
-    case ReplacementPolicy::kPlru:
-      for (std::uint32_t w = 0; w < assoc_; ++w) {
-        if (meta[w] == 0) {
-          return w;
-        }
-      }
-      return 0;  // assoc == 1: the single way is always "recent"
-    case ReplacementPolicy::kRrip:
-      for (;;) {
-        for (std::uint32_t w = 0; w < assoc_; ++w) {
-          if (meta[w] >= kRripDistant) {
-            return w;
-          }
-        }
-        for (std::uint32_t w = 0; w < assoc_; ++w) {
-          ++meta[w];
-        }
-      }
-  }
-  return 0;
-}
-
 bool CacheSimulator::touch_line(std::uint64_t block, bool is_write, DsId ds,
                                 CacheStats& st) {
   ++tick_;
@@ -231,7 +156,7 @@ bool CacheSimulator::touch_line(std::uint64_t block, bool is_write, DsId ds,
   const std::uint64_t set = set_of_block(block);
   const std::size_t base = static_cast<std::size_t>(set) * assoc_;
   std::uint64_t* const tags = tags_.data() + base;
-  std::uint64_t* const meta = meta_.data() + base;
+  std::uint64_t* const stamps = stamps_.data() + base;
   DsId* const owners = owners_.data() + base;
   std::uint8_t* const flags = flags_.data() + base;
 
@@ -258,12 +183,22 @@ bool CacheSimulator::touch_line(std::uint64_t block, bool is_write, DsId ds,
     flags[hit_way] =
         static_cast<std::uint8_t>(flags[hit_way] | (is_write ? kDirtyFlag : 0));
     owners[hit_way] = ds;
-    promote_way(meta, hit_way, /*filled=*/false);
+    stamps[hit_way] = tick_;
     return true;
   }
 
   ++st.misses;
-  const std::uint32_t victim = choose_victim(meta, flags);
+  // LRU victim: the way with the oldest stamp. Invalid ways hold stamp 0 and
+  // every touch stamps tick_ >= 1, so the first invalid way, if any, is
+  // always the one picked.
+  std::uint32_t victim = 0;
+  std::uint64_t oldest = stamps[0];
+  for (std::uint32_t w = 1; w < assoc_; ++w) {
+    if (stamps[w] < oldest) {
+      oldest = stamps[w];
+      victim = w;
+    }
+  }
   if ((flags[victim] & kValidFlag) != 0) {
     ++evictions_;
     const bool dirty = (flags[victim] & kDirtyFlag) != 0;
@@ -281,7 +216,7 @@ bool CacheSimulator::touch_line(std::uint64_t block, bool is_write, DsId ds,
   owners[victim] = ds;
   flags[victim] =
       static_cast<std::uint8_t>(kValidFlag | (is_write ? kDirtyFlag : 0));
-  promote_way(meta, victim, /*filled=*/true);
+  stamps[victim] = tick_;
   return false;
 }
 
@@ -298,7 +233,7 @@ void CacheSimulator::flush() {
       on_evict_(tags_[i], owners_[i], dirty);
     }
     tags_[i] = kInvalidTag;
-    meta_[i] = 0;
+    stamps_[i] = 0;
     owners_[i] = kNoDs;
     flags_[i] = 0;
   }
@@ -306,7 +241,7 @@ void CacheSimulator::flush() {
 
 void CacheSimulator::reset() {
   std::fill(tags_.begin(), tags_.end(), kInvalidTag);
-  std::fill(meta_.begin(), meta_.end(), std::uint64_t{0});
+  std::fill(stamps_.begin(), stamps_.end(), std::uint64_t{0});
   std::fill(owners_.begin(), owners_.end(), kNoDs);
   std::fill(flags_.begin(), flags_.end(), std::uint8_t{0});
   std::fill(stats_.begin(), stats_.end(), CacheStats{});

@@ -9,18 +9,18 @@
 // cached in members at construction; when the set count is a power of two
 // the set index is a mask (`block & set_mask_`), falling back to modulo
 // otherwise. Sets are stored as flat structure-of-arrays slabs — one
-// contiguous tag array, one policy-metadata array, one owner array, one
-// flags array — so the N-way tag compare is a branch-light contiguous scan
-// the compiler can vectorize (invalid ways hold a sentinel tag that never
+// contiguous tag array, one LRU-stamp array, one owner array, one flags
+// array — so the N-way tag compare is a branch-light contiguous scan the
+// compiler can vectorize (invalid ways hold a sentinel tag that never
 // matches a real probe). The per-structure stats table can be pre-sized from
 // a registry so the accounting lookup never grows mid-simulation, and
 // replay() batches a recorded stream through the simulator with per-access
 // dispatch hoisted out of the loop.
 //
-// Replacement is pluggable (dvf/cachesim/replacement.hpp): true LRU (the
-// paper's reference), bit-PLRU and 2-bit SRRIP all keep their state per set
-// in the same metadata array, which is what makes set-sharded replay
-// (dvf/cachesim/sharded_replay.hpp) bit-identical to the single stream.
+// Replacement is true LRU, the paper's reference. Its state (one last-use
+// stamp per way) never crosses set boundaries, which is what makes
+// set-sharded replay (dvf/cachesim/sharded_replay.hpp) bit-identical to the
+// single stream.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +28,6 @@
 #include <span>
 #include <vector>
 
-#include "dvf/cachesim/replacement.hpp"
 #include "dvf/machine/cache_config.hpp"
 #include "dvf/trace/recorder.hpp"
 #include "dvf/trace/registry.hpp"
@@ -49,17 +48,15 @@ struct CacheStats {
   }
 };
 
-/// Set-associative cache with write-back / write-allocate policy and
-/// selectable replacement (LRU by default — the policy the paper's simulator
-/// reports: "the cache simulation is based on the popular LRU algorithm and
-/// can report the number of cache misses and writebacks").
+/// Set-associative cache with write-back / write-allocate policy and LRU
+/// replacement — the simulator the paper reports: "the cache simulation is
+/// based on the popular LRU algorithm and can report the number of cache
+/// misses and writebacks".
 class CacheSimulator {
  public:
-  explicit CacheSimulator(CacheConfig config,
-                          ReplacementPolicy policy = ReplacementPolicy::kLru);
+  explicit CacheSimulator(CacheConfig config);
   /// As above, pre-sizing the stats table for every id the registry holds.
-  CacheSimulator(CacheConfig config, const DataStructureRegistry& registry,
-                 ReplacementPolicy policy = ReplacementPolicy::kLru);
+  CacheSimulator(CacheConfig config, const DataStructureRegistry& registry);
 
   /// Pre-sizes the per-structure stats table for ids [0, count), so the hot
   /// path never reallocates it. Existing tallies are kept.
@@ -116,7 +113,6 @@ class CacheSimulator {
   void reset();
 
   [[nodiscard]] const CacheConfig& config() const noexcept { return config_; }
-  [[nodiscard]] ReplacementPolicy policy() const noexcept { return policy_; }
   /// Stats for one structure (zeros if never referenced).
   [[nodiscard]] CacheStats stats(DsId ds) const;
   /// Aggregate over all structures (including unattributed accesses).
@@ -136,12 +132,6 @@ class CacheSimulator {
   static constexpr std::uint8_t kDirtyFlag = 0x2;
 
   bool touch_line(std::uint64_t block, bool is_write, DsId ds, CacheStats& st);
-  /// Policy-metadata update for the way just accessed (`filled` = miss fill
-  /// vs hit).
-  void promote_way(std::uint64_t* meta, std::uint32_t way, bool filled);
-  /// Victim way for a full set; may age RRIP metadata in place.
-  [[nodiscard]] std::uint32_t choose_victim(std::uint64_t* meta,
-                                            const std::uint8_t* flags);
   CacheStats& stats_for(DsId ds);
   void replay_uninstrumented(std::span<const MemoryRecord> records);
   /// Cold path: wraps the plain replay in an obs span and publishes the
@@ -159,13 +149,11 @@ class CacheSimulator {
   std::uint32_t line_shift_;   ///< log2(line_bytes); lines are power of two
   std::uint64_t set_mask_;     ///< num_sets - 1 when sets_pow2_
   bool sets_pow2_;
-  ReplacementPolicy policy_;
 
-  // Flat SoA set storage, all num_sets * associativity, set-major. meta_ is
-  // the per-way replacement state: LRU timestamp, PLRU MRU bit, or RRIP
-  // RRPV, depending on policy_.
+  // Flat SoA set storage, all num_sets * associativity, set-major. stamps_
+  // holds each way's last-use tick_ (0 while the way is invalid).
   std::vector<std::uint64_t> tags_;
-  std::vector<std::uint64_t> meta_;
+  std::vector<std::uint64_t> stamps_;
   std::vector<DsId> owners_;
   std::vector<std::uint8_t> flags_;
 

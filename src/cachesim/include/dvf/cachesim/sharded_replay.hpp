@@ -1,9 +1,8 @@
 // Set-sharded parallel replay: the tentpole of scaling the verification
 // simulator with cores.
 //
-// Replacement state in a set-associative cache never crosses set boundaries
-// (true for all three policies in dvf/cachesim/replacement.hpp), so the set
-// index space partitions cleanly: shard s simulates exactly the sets with
+// LRU state in a set-associative cache never crosses set boundaries, so the
+// set index space partitions cleanly: shard s simulates exactly the sets with
 // `set mod shards == s`. Each worker walks the SAME shared record stream in
 // order and filters it to its own sets — no locks, no queues, no shared
 // mutable state on the hot path — and the per-structure stats merge by
@@ -23,7 +22,6 @@
 #include <vector>
 
 #include "dvf/cachesim/cache_simulator.hpp"
-#include "dvf/cachesim/replacement.hpp"
 #include "dvf/machine/cache_config.hpp"
 #include "dvf/parallel/thread_pool.hpp"
 
@@ -38,8 +36,7 @@ class ShardedReplayer {
   /// `threads == 0` resolves like the thread pool: DVF_THREADS or the
   /// hardware concurrency. `threads == 1` degenerates to a plain
   /// single-stream replay with no pool dispatch.
-  explicit ShardedReplayer(const CacheConfig& config, unsigned threads = 1,
-                           ReplacementPolicy policy = ReplacementPolicy::kLru);
+  explicit ShardedReplayer(const CacheConfig& config, unsigned threads = 1);
 
   /// Replays a materialized stream across all shards in parallel.
   /// Bit-identical to CacheSimulator::replay() on the same stream.
@@ -65,9 +62,6 @@ class ShardedReplayer {
 
   [[nodiscard]] unsigned shards() const noexcept {
     return static_cast<unsigned>(sims_.size());
-  }
-  [[nodiscard]] ReplacementPolicy policy() const noexcept {
-    return sims_.front().policy();
   }
   /// Merged per-structure stats across all shards.
   [[nodiscard]] CacheStats stats(DsId ds) const;

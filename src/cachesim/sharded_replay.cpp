@@ -17,13 +17,12 @@ struct ShardedCounters {
 
 }  // namespace
 
-ShardedReplayer::ShardedReplayer(const CacheConfig& config, unsigned threads,
-                                 ReplacementPolicy policy)
+ShardedReplayer::ShardedReplayer(const CacheConfig& config, unsigned threads)
     : pool_(parallel::resolve_thread_count(threads)) {
   const unsigned shards = pool_.concurrency();
   sims_.reserve(shards);
   for (unsigned s = 0; s < shards; ++s) {
-    sims_.emplace_back(config, policy);
+    sims_.emplace_back(config);
   }
 }
 

@@ -55,6 +55,19 @@ const StructureDvf* ApplicationDvf::find(const std::string& name) const {
   return nullptr;
 }
 
+Result<void> try_structure_preconditions(
+    const DataStructureSpec& ds, std::optional<double> exec_time_seconds) {
+  if (exec_time_seconds.has_value()) {
+    if (!std::isfinite(*exec_time_seconds)) {
+      return EvalError{ErrorKind::kNonFinite, "execution time is not finite"};
+    }
+    DVF_EVAL_REQUIRE(*exec_time_seconds >= 0.0,
+                     "execution time must be >= 0");
+  }
+  DVF_EVAL_REQUIRE(ds.size_bytes > 0, "data structure size must be positive");
+  return {};
+}
+
 DvfCalculator::DvfCalculator(Machine machine) : machine_(std::move(machine)) {}
 
 Result<double> DvfCalculator::try_main_memory_accesses(
@@ -65,11 +78,7 @@ Result<double> DvfCalculator::try_main_memory_accesses(
 
 Result<StructureDvf> DvfCalculator::eval_structure(
     const DataStructureSpec& ds, double exec_time_seconds) const {
-  if (!std::isfinite(exec_time_seconds)) {
-    return EvalError{ErrorKind::kNonFinite, "execution time is not finite"};
-  }
-  DVF_EVAL_REQUIRE(exec_time_seconds >= 0.0, "execution time must be >= 0");
-  DVF_EVAL_REQUIRE(ds.size_bytes > 0, "data structure size must be positive");
+  DVF_TRY_CHECK(try_structure_preconditions(ds, exec_time_seconds));
 
   StructureDvf result;
   result.name = ds.name;

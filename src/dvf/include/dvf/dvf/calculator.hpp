@@ -1,6 +1,7 @@
 // The DVF calculator: Eq. 1 (per data structure) and Eq. 2 (application).
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -32,6 +33,12 @@ struct ApplicationDvf {
   /// Per-structure lookup (nullptr when absent).
   [[nodiscard]] const StructureDvf* find(const std::string& name) const;
 };
+
+/// Eq. 1's budget-free structure preconditions, which the calculator checks
+/// before estimating any phase: T finite (else non_finite) and T >= 0, then
+/// S_d > 0 (both domain_error). With T absent only S_d is checked.
+[[nodiscard]] Result<void> try_structure_preconditions(
+    const DataStructureSpec& ds, std::optional<double> exec_time_seconds);
 
 /// Evaluates models against one machine. Stateless apart from the machine;
 /// safe to share across threads.

@@ -12,7 +12,6 @@
 #include "dvf/common/result.hpp"
 #include "dvf/dsl/analyzer.hpp"
 #include "dvf/dsl/diagnostics.hpp"
-#include "dvf/dsl/parser.hpp"
 #include "dvf/dvf/calculator.hpp"
 #include "dvf/machine/cache_config.hpp"
 #include "dvf/obs/obs.hpp"
@@ -224,19 +223,9 @@ std::string Engine::handle_metrics(const EvalRequest& request) {
 std::shared_ptr<const CompiledEntry> Engine::compile_source(
     const EvalRequest& request, std::uint64_t fingerprint,
     std::string& error_out) {
-  dsl::Program ast;
-  try {
-    ast = dsl::parse(request.source);
-  } catch (const ParseError& e) {
-    error_out = error_response(
-        request.id_json, wire::kModelError,
-        std::string(e.code() != nullptr ? e.code() : dsl::codes::kSyntax) +
-            std::string(": ") + e.what());
-    return nullptr;
-  }
   dsl::DiagnosticEngine diags;
   auto entry = std::make_shared<CompiledEntry>();
-  entry->program = dsl::analyze(ast, diags);
+  entry->program = dsl::parse_and_analyze(request.source, diags).program;
   if (const dsl::Diagnostic* first = diags.first_error()) {
     error_out = error_response(request.id_json, wire::kModelError,
                                diagnostic_message(*first));

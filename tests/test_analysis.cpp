@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <limits>
+#include <span>
 #include <string>
 #include <variant>
 #include <vector>
@@ -356,6 +357,41 @@ TEST(AnalysisFacts, RejectKindIsBudgetIndependent) {
             << result.error().message;
       }
     }
+  }
+}
+
+// The structure-level checks (S_d > 0, a finite T >= 0) come before any
+// phase in the calculator, so they decide the reject kind: S_d = 0 with an
+// overflowing phase is a domain_error, a non-finite T is non_finite.
+TEST(AnalysisFacts, StructureRejectKindMatchesTheCalculator) {
+  StreamingSpec overflowing;  // footprint wraps 64 bits
+  overflowing.element_bytes = 8;
+  overflowing.element_count = std::uint64_t{1} << 62;
+  ModelSpec empty_structure;
+  empty_structure.name = "empty";
+  empty_structure.exec_time_seconds = 1.0;
+  empty_structure.structures.push_back({"d", 0, {PatternSpec{overflowing}}});
+  StreamingSpec stream;
+  stream.element_bytes = 8;
+  stream.element_count = 64;
+  ModelSpec infinite_time;
+  infinite_time.name = "forever";
+  infinite_time.exec_time_seconds = kInf;
+  infinite_time.structures.push_back({"d", 512, {PatternSpec{stream}}});
+
+  const Machine machine = Machine::with_cache(caches::profiling_16kb());
+  const DvfCalculator calculator(machine);
+  for (const ModelSpec& model : {empty_structure, infinite_time}) {
+    const Result<ApplicationDvf> evaluated = calculator.try_for_model(model);
+    ASSERT_FALSE(evaluated.ok()) << model.name;
+    const AnalysisReport report = analyze(
+        std::span<const Machine>(&machine, 1),
+        std::span<const ModelSpec>(&model, 1));
+    const StructureBounds& bounds = report.models.front().structures.front();
+    ASSERT_TRUE(bounds.per_machine.front().eval_rejects) << model.name;
+    EXPECT_STREQ(to_string(bounds.per_machine.front().reject_kind),
+                 to_string(evaluated.error().kind))
+        << model.name << ": " << evaluated.error().message;
   }
 }
 

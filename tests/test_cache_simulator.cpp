@@ -319,113 +319,21 @@ TEST(CacheSimulatorStats, RegistryConstructorPreSizesTheTable) {
   EXPECT_EQ(sim.stats(0).accesses, 0u);
 }
 
-// --- Replacement policies --------------------------------------------------
-
-TEST(ReplacementPolicyNames, RoundTripThroughParser) {
-  for (const ReplacementPolicy policy :
-       {ReplacementPolicy::kLru, ReplacementPolicy::kPlru,
-        ReplacementPolicy::kRrip}) {
-    const auto parsed = parse_policy(policy_name(policy));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, policy);
+// The victim scan takes the oldest LRU stamp; invalid ways (stamp 0) must be
+// filled before any valid line is displaced, also after a flush.
+TEST(CacheSimulator, FillsInvalidWaysBeforeEvicting) {
+  CacheSimulator sim(CacheConfig("one-set4", 4, 1, 16));
+  for (const std::uint64_t block : {1, 2, 3, 4, 2, 1}) {
+    sim.on_load(0, block * 16, 4);
   }
-  EXPECT_FALSE(parse_policy("fifo").has_value());
-  EXPECT_FALSE(parse_policy("LRU").has_value());
-  EXPECT_FALSE(parse_policy("").has_value());
-}
-
-// With 2 ways, the bit-PLRU MRU bit identifies the LRU way exactly, so the
-// approximation collapses to true LRU. A long mixed stream must agree.
-TEST(ReplacementPolicy, PlruEqualsLruAtTwoWays) {
-  const CacheConfig config("two-way", 2, 64, 32);
-  CacheSimulator lru(config, ReplacementPolicy::kLru);
-  CacheSimulator plru(config, ReplacementPolicy::kPlru);
-  for (const MemoryRecord& r : mixed_reference_string()) {
-    lru.access(r.address, r.size, r.is_write, r.ds);
-    plru.access(r.address, r.size, r.is_write, r.ds);
+  EXPECT_EQ(sim.evictions(), 0u);
+  sim.flush();
+  for (const std::uint64_t block : {5, 6, 7, 8, 5, 6, 7, 8}) {
+    sim.on_load(0, block * 16, 4);
   }
-  lru.flush();
-  plru.flush();
-  for (DsId ds = 0; ds < 4; ++ds) {
-    const CacheStats a = lru.stats(ds);
-    const CacheStats b = plru.stats(ds);
-    EXPECT_EQ(a.hits, b.hits) << "ds=" << ds;
-    EXPECT_EQ(a.misses, b.misses) << "ds=" << ds;
-    EXPECT_EQ(a.writebacks, b.writebacks) << "ds=" << ds;
-  }
-}
-
-// Loads block `b` of a one-set cache with 16-byte lines.
-void load_block(CacheSimulator& sim, std::uint64_t block) {
-  sim.on_load(0, block * 16, 4);
-}
-
-// Hand-computed divergence, 4-way single set, sequence [1,2,3,4,1,2,3,5]:
-//
-//   bit-PLRU: filling 4 saturates the MRU bits ({0,0,0,1} after the clear);
-//   hits on 1 and 2 set their bits; the hit on 3 saturates again, leaving
-//   {0,0,1,0}. The miss on 5 takes the first clear way — way 0, BLOCK 1.
-//   True LRU instead evicts BLOCK 4 (stalest timestamp).
-TEST(ReplacementPolicy, PlruPinnedSequenceDivergesFromLru) {
-  const CacheConfig config("one-set4", 4, 1, 16);
-  for (const auto policy :
-       {ReplacementPolicy::kPlru, ReplacementPolicy::kLru}) {
-    CacheSimulator sim(config, policy);
-    for (const std::uint64_t block : {1, 2, 3, 4, 1, 2, 3, 5}) {
-      load_block(sim, block);
-    }
-    EXPECT_EQ(sim.stats(0).misses, 5u);
-    const std::uint64_t misses_before = sim.stats(0).misses;
-    load_block(sim, 4);  // PLRU: resident. LRU: evicted.
-    load_block(sim, 1);  // PLRU: evicted. LRU: resident... until 4 refilled.
-    if (policy == ReplacementPolicy::kPlru) {
-      EXPECT_EQ(sim.stats(0).misses, misses_before + 1) << "victim must be 1";
-    } else {
-      EXPECT_EQ(sim.stats(0).misses, misses_before + 2)
-          << "LRU evicts 4, and refilling 4 displaces 1";
-    }
-  }
-}
-
-// Hand-computed divergence, 4-way single set, sequence [1,2,3,4,1,5,3,6,7]:
-//
-//   2-bit SRRIP: fills insert at RRPV 2, the hit on 1 promotes it to 0; the
-//   miss on 5 ages everyone and replaces block 2; the miss on 6 finds block
-//   4 already distant; the miss on 7 ages again and replaces BLOCK 5,
-//   keeping block 1 resident (its early promotion still protects it).
-//   True LRU instead evicts BLOCK 1 at the miss on 7 (stalest) and keeps 5.
-TEST(ReplacementPolicy, RripPinnedSequenceDivergesFromLru) {
-  const CacheConfig config("one-set4", 4, 1, 16);
-  for (const auto policy :
-       {ReplacementPolicy::kRrip, ReplacementPolicy::kLru}) {
-    CacheSimulator sim(config, policy);
-    for (const std::uint64_t block : {1, 2, 3, 4, 1, 5, 3, 6, 7}) {
-      load_block(sim, block);
-    }
-    EXPECT_EQ(sim.stats(0).misses, 7u);
-    EXPECT_EQ(sim.stats(0).hits, 2u);
-    const std::uint64_t hits_before = sim.stats(0).hits;
-    load_block(sim, policy == ReplacementPolicy::kRrip ? 1 : 5);
-    EXPECT_EQ(sim.stats(0).hits, hits_before + 1)
-        << policy_name(policy) << " kept the wrong line resident";
-  }
-}
-
-TEST(ReplacementPolicy, RripSingleWayStillTerminates) {
-  // Degenerate associativity: the victim search must age RRPV up to the
-  // distant value and terminate, not spin.
-  CacheSimulator sim(CacheConfig("direct", 1, 2, 16),
-                     ReplacementPolicy::kRrip);
-  for (int i = 0; i < 16; ++i) {
-    load_block(sim, static_cast<std::uint64_t>(i));
-  }
-  EXPECT_EQ(sim.stats(0).misses, 16u);
-}
-
-TEST(ReplacementPolicy, PolicyAccessorReportsConstructionChoice) {
-  EXPECT_EQ(CacheSimulator(tiny()).policy(), ReplacementPolicy::kLru);
-  EXPECT_EQ(CacheSimulator(tiny(), ReplacementPolicy::kRrip).policy(),
-            ReplacementPolicy::kRrip);
+  EXPECT_EQ(sim.evictions(), 0u);
+  EXPECT_EQ(sim.stats(0).hits, 6u);
+  EXPECT_EQ(sim.resident_lines(), 4u);
 }
 
 TEST(CacheSimulatorStats, ReservedTableKeepsTalliesAndSurvivesReset) {

@@ -35,7 +35,8 @@ expect_exit 2 "run 'dvfc' without arguments for usage" campaign VM --threads abc
 expect_exit 2 "expects" campaign VM --ci-width nope
 expect_exit 2 "expects" campaign VM --ci-width inf
 expect_exit 2 "expects" replay /dev/null --threads abc
-expect_exit 2 "expects lru, plru or rrip" replay /dev/null --policy fifo
+# The simulator is LRU only; replay takes no replacement-policy switch.
+expect_exit 2 "unknown option --policy" replay /dev/null --policy lru
 expect_exit 2 "unknown option --format" trace VM /dev/null --format v1
 expect_exit 2 "unknown option --policy" trace VM /dev/null --policy lru
 # Only campaign and replay take --threads; kernels times its runs serially.
@@ -44,7 +45,7 @@ expect_exit 2 "unknown option --threads" kernels --threads 2
 # --- the sharded trace/replay round trip ------------------------------------
 TMP_TRACE=$(mktemp --suffix=.dvft)
 expect_exit 0 - trace VM "$TMP_TRACE"
-expect_exit 0 - replay "$TMP_TRACE" --threads 4 --policy rrip
+expect_exit 0 - replay "$TMP_TRACE" --threads 4
 expect_exit 0 - replay "$TMP_TRACE" --threads 2
 rm -f "$TMP_TRACE"
 # A version-1 trace is refused with the version read and the fix.
@@ -90,6 +91,28 @@ elif ! grep -q "1:13" "$stderr_file"; then
   FAILURES=$((FAILURES + 1))
 else
   echo "ok: dvfc lint reports DVF-E018 at the literal's span"
+fi
+rm -f "$TMP_MODEL" "$stderr_file"
+
+# --- check --json words a parse error like lint --json ----------------------
+# The message carries no "parse error at L:C: " prefix; line and column hold
+# the location.
+TMP_MODEL=$(mktemp --suffix=.aspen)
+printf 'model "m" {\n  time 1.0\n  data A { elements 4; element_size 8; }\n}\n' \
+  >"$TMP_MODEL"
+stderr_file=$(mktemp)
+"$DVFC" check --json "$TMP_MODEL" >"$stderr_file" 2>&1
+code=$?
+want="\"line\":3,\"column\":3,\"length\":1,\"severity\":\"error\",\"code\":\"DVF-E001\",\"message\":\"expected ';' (found identifier 'data')\""
+if [ "$code" -ne 1 ]; then
+  echo "FAIL: dvfc check --json (parse error) -> exit $code, want 1" >&2
+  FAILURES=$((FAILURES + 1))
+elif ! grep -qF "$want" "$stderr_file"; then
+  echo "FAIL: dvfc check --json parse error is not worded like lint --json" >&2
+  sed 's/^/  out: /' "$stderr_file" >&2
+  FAILURES=$((FAILURES + 1))
+else
+  echo "ok: dvfc check --json reports a parse error without the prefix"
 fi
 rm -f "$TMP_MODEL" "$stderr_file"
 

@@ -480,6 +480,16 @@ TEST(ServeEngine, TypedErrorsForBadInput) {
             wire::kBadRequest);
 }
 
+// A parse error reads like every other model_error: code, position, text.
+TEST(ServeEngine, ParseErrorMessageIsCodeAtPosition) {
+  Engine engine;
+  const JsonParsed response = expect_response(
+      engine.handle_line(eval_frame("1", "model \"m\" {\n time 1.0\n}")));
+  EXPECT_EQ(error_kind(response), wire::kModelError);
+  EXPECT_EQ(response.value.find("error")->find("message")->string,
+            "DVF-E001 at 3:1: expected ';' (found '}')");
+}
+
 TEST(ServeEngine, OversizedFrameIsTooLarge) {
   EngineConfig config;
   config.max_request_bytes = 256;

@@ -1,6 +1,6 @@
 // Shard-equivalence suite: set-sharded parallel replay must be bit-identical
-// to the single-stream CacheSimulator for every thread count and policy,
-// including the eviction-handler and flush() interplay.
+// to the single-stream CacheSimulator for every thread count, including the
+// eviction-handler and flush() interplay.
 #include "dvf/cachesim/sharded_replay.hpp"
 
 #include <gtest/gtest.h>
@@ -47,12 +47,11 @@ void expect_identical(const CacheStats& a, const CacheStats& b,
 
 struct ShardCase {
   unsigned threads;
-  ReplacementPolicy policy;
   CacheConfig config;
 };
 
 void PrintTo(const ShardCase& c, std::ostream* os) {
-  *os << "t" << c.threads << "_" << policy_name(c.policy) << "_";
+  *os << "t" << c.threads << "_";
   PrintTo(c.config, os);
 }
 
@@ -62,11 +61,11 @@ TEST_P(ShardedReplayEquivalence, BitIdenticalToSingleStream) {
   const ShardCase& c = GetParam();
   const auto records = shard_reference_string();
 
-  CacheSimulator reference(c.config, c.policy);
+  CacheSimulator reference(c.config);
   reference.replay(records);
   reference.flush();
 
-  ShardedReplayer sharded(c.config, c.threads, c.policy);
+  ShardedReplayer sharded(c.config, c.threads);
   sharded.replay(records);
   sharded.flush();
 
@@ -81,28 +80,17 @@ TEST_P(ShardedReplayEquivalence, BitIdenticalToSingleStream) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    ThreadsAndPolicies, ShardedReplayEquivalence,
+    ThreadCounts, ShardedReplayEquivalence,
     ::testing::Values(
         // The pinned 1/2/8-thread trio on the pow2 reference geometry.
-        ShardCase{1, ReplacementPolicy::kLru,
-                  CacheConfig("pow2-64set", 4, 64, 32)},
-        ShardCase{2, ReplacementPolicy::kLru,
-                  CacheConfig("pow2-64set", 4, 64, 32)},
-        ShardCase{8, ReplacementPolicy::kLru,
-                  CacheConfig("pow2-64set", 4, 64, 32)},
+        ShardCase{1, CacheConfig("pow2-64set", 4, 64, 32)},
+        ShardCase{2, CacheConfig("pow2-64set", 4, 64, 32)},
+        ShardCase{8, CacheConfig("pow2-64set", 4, 64, 32)},
         // Non-pow2 set count and shard counts that do not divide it.
-        ShardCase{3, ReplacementPolicy::kLru,
-                  CacheConfig("mod-60set", 4, 60, 32)},
-        ShardCase{8, ReplacementPolicy::kLru,
-                  CacheConfig("mod-60set", 4, 60, 32)},
-        // The approximate policies shard identically (per-set state only).
-        ShardCase{8, ReplacementPolicy::kPlru,
-                  CacheConfig("pow2-64set", 4, 64, 32)},
-        ShardCase{8, ReplacementPolicy::kRrip,
-                  CacheConfig("pow2-64set", 4, 64, 32)},
+        ShardCase{3, CacheConfig("mod-60set", 4, 60, 32)},
+        ShardCase{8, CacheConfig("mod-60set", 4, 60, 32)},
         // More shards than sets: the surplus shards simply stay idle.
-        ShardCase{8, ReplacementPolicy::kLru,
-                  CacheConfig("mod-3set", 2, 3, 16)}));
+        ShardCase{8, CacheConfig("mod-3set", 2, 3, 16)}));
 
 TEST(ShardedReplay, EvictionHandlerSeesEveryEvictionAcrossThreads) {
   const CacheConfig config("pow2-64set", 4, 64, 32);

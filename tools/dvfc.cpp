@@ -49,7 +49,6 @@
 #include "dvf/dvf/calculator.hpp"
 #include "dvf/dvf/ecc.hpp"
 #include "dvf/cachesim/cache_simulator.hpp"
-#include "dvf/cachesim/replacement.hpp"
 #include "dvf/cachesim/sharded_replay.hpp"
 #include "dvf/dvf/inference.hpp"
 #include "dvf/kernels/injection_campaign.hpp"
@@ -289,7 +288,7 @@ bool options_recognized(const Args& args) {
       {"ecc", {"model", "machine"}},
       {"kernels", {"suite"}},
       {"trace", {}},
-      {"replay", {"assoc", "sets", "line", "threads", "policy"}},
+      {"replay", {"assoc", "sets", "line", "threads"}},
       {"infer", {"assoc", "sets", "line"}},
       {"campaign",
        {"trials", "seed", "threads", "journal", "resume", "ci-width",
@@ -355,20 +354,6 @@ double real_option(const Args& args, const std::string& name,
   return value;
 }
 
-// Parses --policy (replay), raising BadUsage on anything the simulator does
-// not implement. An option given without a value parses as the default.
-dvf::ReplacementPolicy policy_option(const Args& args) {
-  const std::string text = args.option("policy", "");
-  if (text.empty()) {
-    return dvf::ReplacementPolicy::kLru;
-  }
-  const auto parsed = dvf::parse_policy(text);
-  if (!parsed.has_value()) {
-    throw BadUsage{"--policy expects lru, plru or rrip, got '" + text + "'"};
-  }
-  return *parsed;
-}
-
 int usage() {
   std::cerr <<
       "usage: dvfc <command> [args]\n"
@@ -408,7 +393,7 @@ int usage() {
       "                                        (compact little-endian\n"
       "                                        chunked format)\n"
       "  replay <in.dvft> [--assoc A --sets S --line L]\n"
-      "         [--threads N] [--policy lru|plru|rrip]\n"
+      "         [--threads N]\n"
       "                                        simulate a saved trace,\n"
       "                                        streamed chunk by chunk;\n"
       "                                        N>1 shards cache sets across\n"
@@ -477,23 +462,15 @@ int cmd_check(const Args& args) {
       // Same accept set as compile_file (analyzer errors only, no lint
       // rules), machine-readable: report the first error-severity
       // diagnostic — exactly what compile would throw.
-      std::ifstream in(file);
-      if (!in) {
-        std::cerr << "dvfc: cannot open model file: " << file << "\n";
+      std::string source;
+      try {
+        source = dvf::dsl::read_model_file(file);
+      } catch (const dvf::Error& err) {
+        std::cerr << "dvfc: " << err.what() << "\n";
         return 2;
       }
-      std::ostringstream contents;
-      contents << in.rdbuf();
       dvf::dsl::DiagnosticEngine diags;
-      try {
-        const auto ast = dvf::dsl::parse(contents.str());
-        (void)dvf::dsl::analyze(ast, diags);
-      } catch (const dvf::ParseError& err) {
-        const char* code = err.code() != nullptr ? err.code()
-                                                 : dvf::dsl::codes::kSyntax;
-        diags.error(code, {err.line(), err.column(), err.length()},
-                    err.what());
-      }
+      (void)dvf::dsl::parse_and_analyze(source, diags);
       if (const dvf::dsl::Diagnostic* first = diags.first_error()) {
         objects.push_back(dvf::dsl::render_json_object(*first, file));
         ++failures;
@@ -928,19 +905,17 @@ int cmd_replay(const Args& args) {
   const auto sets = numeric_option(args, "sets", 64);
   const auto line = numeric_option(args, "line", 32);
   const auto threads = numeric_option(args, "threads", 1);
-  const dvf::ReplacementPolicy policy = policy_option(args);
   const dvf::CacheConfig cache("replay", assoc, sets, line);
 
   // Streamed chunk by chunk: a multi-GB trace replays in O(chunk) memory.
   dvf::TraceReader reader(args.positional[0]);
   const auto structures = reader.structures();
-  dvf::ShardedReplayer sim(cache, threads, policy);
+  dvf::ShardedReplayer sim(cache, threads);
   sim.replay_stream(reader);
   sim.flush();
 
   std::cout << "replayed " << reader.records_delivered() << " references on "
-            << cache.describe() << " (policy " << dvf::policy_name(policy)
-            << ", " << sim.shards() << " shard(s))\n\n";
+            << cache.describe() << " (" << sim.shards() << " shard(s))\n\n";
   dvf::Table table({"structure", "accesses", "hits", "misses", "writebacks"});
   for (std::size_t i = 0; i < structures.size(); ++i) {
     const dvf::CacheStats st = sim.stats(static_cast<dvf::DsId>(i));
