@@ -101,8 +101,10 @@ dvf::TemplateSpec stencil_template(std::uint64_t n) {
 
 /// The MG smoother sweep of models/mg.aspen on an n^3 grid of 16-byte
 /// cells, in its DSL form (four stencil references advancing one cell per
-/// iteration), with a 1/64 cache share the sweep does not fit and 4 sweeps.
-dvf::TemplateSpec mg_progression(std::uint64_t n) {
+/// iteration), `sweeps` times with the cache share `ratio` (a DSL
+/// expression).
+dvf::TemplateSpec mg_progression(std::uint64_t n, std::uint64_t sweeps,
+                                 const std::string& ratio) {
   const dvf::dsl::CompiledProgram program = dvf::dsl::compile(
       "param n = " + std::to_string(n) + R"dsl(;
 model "MG" {
@@ -112,8 +114,8 @@ model "MG" {
     start (2*n*n + 1, 2*n*n + 2*n + 1, n*n + n + 1, 2*n*n + n + 1);
     step 1;
     count n * (n - 2);
-    repeat 4;
-    ratio 1 / 64;
+    repeat )dsl" + std::to_string(sweeps) + R"dsl(;
+    ratio )dsl" + ratio + R"dsl(;
   }
 }
 )dsl");
@@ -306,24 +308,29 @@ int main() {
   }
 
   // Analytical estimator costs, the model side of the §I cost claim: one
-  // call per pattern family and size on the 8MB profiling cache. Quick runs
-  // drop the largest size of each family.
+  // call per pattern family and size, on the 8MB profiling cache unless a
+  // record names another. Quick runs drop the largest size of each family.
   const dvf::CacheConfig profiling = dvf::caches::profiling_8mb();
-  const auto model_record = [&](const char* family, const std::string& size,
-                                const auto& estimate) {
+  const auto model_record_on = [&](const dvf::CacheConfig& cache,
+                                   const char* family, const std::string& size,
+                                   const auto& estimate) {
     const auto [ns, calls] = ns_per_call(
-        [&] { g_sink = g_sink + estimate(profiling).value_or_throw(); },
+        [&] { g_sink = g_sink + estimate(cache).value_or_throw(); },
         min_seconds);
     const std::string name = std::string("model_") + family + "_" + size;
-    table.add_row({name, profiling.name(), "1", "-",
+    table.add_row({name, cache.name(), "1", "-",
                    dvf::num(ns, 4) + " ns/call"});
     Record r = record(name);
     r.field("family", std::string(family))
-        .field("cache", profiling.name())
-        .field("capacity_bytes", profiling.capacity_bytes())
+        .field("cache", cache.name())
+        .field("capacity_bytes", cache.capacity_bytes())
         .field("calls", calls)
         .field("ns_per_call", ns);
     return r;
+  };
+  const auto model_record = [&](const char* family, const std::string& size,
+                                const auto& estimate) {
+    return model_record_on(profiling, family, size, estimate);
   };
   const auto sizes = [quick](std::vector<std::uint64_t> all) {
     if (quick) {
@@ -384,11 +391,22 @@ int main() {
     json.add(r);
   }
   {
-    const dvf::TemplateSpec spec = mg_progression(64);
+    // 4 sweeps at a 1/64 share the sweep does not fit.
+    const dvf::TemplateSpec spec = mg_progression(64, 4, "1 / 64");
     Record r = model_record("template", "stencil_64", [&](const auto& c) {
       return dvf::try_estimate_template(spec, c);
     });
     r.field("grid_edge", std::uint64_t{64}).field("references", spec.length());
+    json.add(r);
+  }
+  {
+    // The costliest cell of the pipeline benchmark's model_eval workload:
+    // 2 sweeps of 56^3 on the 128KB machine at half its share.
+    const dvf::TemplateSpec spec = mg_progression(56, 2, "0.5");
+    Record r = model_record_on(
+        dvf::caches::profiling_128kb(), "template", "stencil_56_r2",
+        [&](const auto& c) { return dvf::try_estimate_template(spec, c); });
+    r.field("grid_edge", std::uint64_t{56}).field("references", spec.length());
     json.add(r);
   }
   for (const std::uint64_t bytes : sizes({64 * 1024, 16 * 1024 * 1024})) {

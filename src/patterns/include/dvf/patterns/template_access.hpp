@@ -10,7 +10,12 @@
 // (Mattson inclusion), so the stack mode replays such an LRU in O(1) per
 // reference instead of computing distances. After one pass every block has
 // been used, so every later pass starts from the same state and costs the
-// same: N_ha = A1 + (R - 1) * A2 from passes 1 and 2 alone.
+// same: N_ha = A1 + (R - 1) * A2 from passes 1 and 2 alone. A progression
+// needs pass 1 alone when no block's lifetime window (the blocks referenced
+// from its first to its last use in a pass, bounded from the starts, step
+// and element width) holds more than distinct - C blocks: then every first
+// use of a later pass misses as it did cold in pass 1, every other
+// reference repeats its pass-1 outcome, and N_ha = R * A1.
 //
 // A progression is replayed only until it turns periodic. Byte addresses
 // advance by step*E per iteration, so every P = CL / gcd(|step|*E, CL)

@@ -588,7 +588,57 @@ class ProgressionReplay {
   EvalBudget& budget_;
 };
 
+/// An upper bound on the distinct blocks a pass references from any block's
+/// first use to its last use (its lifetime window), for step != 0 and
+/// elements `widest` blocks wide at most.
+///
+/// Element x touches block b only if b*CL - E < x*E < (b + 1)*CL, so two
+/// references to one block lie less than CL + E bytes apart. For starts
+/// s_a <= s_b at iterations i_a, i_b that gives
+/// |i_a - i_b| * |step| < (s_b - s_a) + (CL + E)/E, so the lifetime spans
+/// fewer than lag + slop iterations, where lag = floor((s_b - s_a)/|step|)
+/// and slop = ceil((CL + E)/(|step|*E)) + 1 (a = b: lag 0). Iterations run
+/// from 0 to count - 1, so a pair with lag > count + slop shares no block.
+/// `life`, slop plus the largest lag of the other pairs, bounds every
+/// lifetime in iterations; life + 1 iterations of |starts| references of at
+/// most `widest` blocks each bound the window.
+std::uint64_t lifetime_window(const TemplateSpec& spec, int line_shift,
+                              std::uint64_t widest) {
+  const std::uint64_t magnitude = step_magnitude(spec);
+  const std::uint64_t e = spec.element_bytes;
+  const std::uint64_t slop =
+      math::ceil_div((std::uint64_t{1} << line_shift) + e,
+                     math::saturating_mul(magnitude, e)) +
+      1;
+  const std::uint64_t reach = math::saturating_add(spec.count, slop);
+  std::vector<std::uint64_t> starts = spec.starts;
+  std::sort(starts.begin(), starts.end());
+  std::uint64_t lag = 0;
+  for (std::size_t a = 0, b = 0; b < starts.size(); ++b) {
+    while ((starts[b] - starts[a]) / magnitude > reach) {
+      ++a;
+    }
+    lag = std::max(lag, (starts[b] - starts[a]) / magnitude);
+  }
+  const std::uint64_t life = math::saturating_add(slop, lag);
+  return math::saturating_mul(
+      math::saturating_mul(math::saturating_add(life, 1), starts.size()),
+      widest);
+}
+
 /// Stack mode over a progression (count >= 2).
+///
+/// Later passes repeat pass 1 when no lifetime window is too wide. A
+/// reference whose block the pass already used sees the same stack
+/// distance as in pass 1: every block between the two uses lies in this
+/// pass. Only a block's first use in a pass differs: its distance counts
+/// the blocks used after its last use in the previous pass together with
+/// those used before its first use in this one, and since every pass
+/// replays one string, that union holds every block but those whose uses
+/// all fall inside the block's own lifetime window. With at most W blocks
+/// in any window the distance is at least distinct - W, so when
+/// W <= distinct - C every first use misses again, as it did cold in
+/// pass 1, and N_ha = R * A1 from pass 1 alone, replayed as for R = 1.
 Result<double> estimate_progression(const TemplateSpec& spec, int line_shift,
                                     std::uint64_t capacity_blocks,
                                     EvalBudget& budget) {
@@ -609,10 +659,15 @@ Result<double> estimate_progression(const TemplateSpec& spec, int line_shift,
     return static_cast<double>(footprint.distinct);
   }
   ProgressionReplay lru(spec, line_shift, capacity_blocks, budget);
-  DVF_TRY_ASSIGN(first, lru.pass(spec.repetitions > 1));
-  if (spec.repetitions == 1) {
-    return static_cast<double>(first);
+  if (spec.repetitions == 1 ||
+      (spec.step != 0 &&
+       lifetime_window(spec, line_shift, footprint.widest) <=
+           footprint.distinct - capacity_blocks)) {
+    DVF_TRY_ASSIGN(first, lru.pass(false));
+    return static_cast<double>(
+        math::saturating_mul(spec.repetitions, first));
   }
+  DVF_TRY_ASSIGN(first, lru.pass(true));
   // Pass 2 starts from pass 1's final state, as in the materialized replay.
   DVF_TRY_ASSIGN(second, lru.pass(false));
   return static_cast<double>(math::saturating_add(

@@ -129,6 +129,8 @@ else
 fi
 expect_exit 2 "usage:" analyze
 expect_exit 2 "cannot open" analyze /nonexistent/model.aspen
+# fmt reads through the same reader as check, lint and analyze.
+expect_exit 2 "cannot open model file" fmt /nonexistent/model.aspen
 TMP_MODEL=$(mktemp --suffix=.aspen)
 # A dead structure is a provable A301 warning: clean exit without --werror,
 # failure with it.

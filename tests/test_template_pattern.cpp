@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cstdlib>
 #include <filesystem>
 #include <iomanip>
 #include <list>
@@ -470,6 +472,139 @@ TEST(TemplateEstimate, ProgressionMatchesExpandInternReplay) {
     }
   }
   EXPECT_GT(collapsible, 120);
+}
+
+/// The estimator's bound on the blocks of one block's lifetime window,
+/// recomputed from its definition: slop = ceil((CL + E)/(|step|*E)) + 1,
+/// life = slop + the largest floor((s_b - s_a)/|step|) over pairs of starts
+/// s_a <= s_b whose lag is at most count + slop, and (life + 1) * |starts|
+/// * the widest element reference in blocks. Requires step != 0.
+std::uint64_t lifetime_window(const TemplateSpec& spec,
+                              std::uint32_t line_bytes) {
+  const auto magnitude = static_cast<std::uint64_t>(std::abs(spec.step));
+  const std::uint64_t e = spec.element_bytes;
+  const std::uint64_t slop =
+      (line_bytes + e + magnitude * e - 1) / (magnitude * e) + 1;
+  std::uint64_t lag = 0;
+  for (const std::uint64_t a : spec.starts) {
+    for (const std::uint64_t b : spec.starts) {
+      const std::uint64_t l = b >= a ? (b - a) / magnitude : 0;
+      if (l <= spec.count + slop) {
+        lag = std::max(lag, l);
+      }
+    }
+  }
+  std::uint64_t widest = 0;
+  spec.for_each_index([&](std::uint64_t idx) {
+    widest = std::max(widest, (idx * e + e - 1) / line_bytes -
+                                  idx * e / line_bytes + 1);
+  });
+  return (slop + lag + 1) * spec.starts.size() * widest;
+}
+
+/// Checks a repeated progression against expand_intern_replay at each
+/// capacity in [lo, hi] that lies in [1, distinct - 1]; the number checked.
+int check_capacities(TemplateSpec spec, std::uint32_t line_bytes,
+                     std::uint64_t distinct, std::int64_t lo,
+                     std::int64_t hi) {
+  const CacheConfig cache("c", 8, std::bit_ceil(distinct), line_bytes);
+  int checked = 0;
+  for (std::int64_t c = std::max<std::int64_t>(lo, 1);
+       c <= std::min<std::int64_t>(hi, static_cast<std::int64_t>(distinct) - 1);
+       ++c) {
+    spec.cache_ratio = (static_cast<double>(c) + 0.5) /
+                       static_cast<double>(cache.total_blocks());
+    const Result<double> got = try_estimate_template(spec, cache);
+    EXPECT_TRUE(got.ok()) << got.error().describe();
+    if (!got.ok()) {
+      return checked;
+    }
+    EXPECT_EQ(got.value(), expand_intern_replay(spec, cache))
+        << "starts " << spec.starts.size() << " step " << spec.step
+        << " count " << spec.count << " E " << spec.element_bytes << " CL "
+        << line_bytes << " capacity " << c << " of " << distinct << " R "
+        << spec.repetitions;
+    ++checked;
+  }
+  return checked;
+}
+
+TEST(TemplateEstimate, RepeatedSweepsMatchOnBothSidesOfTheLifetimeBound) {
+  // A repeated progression takes pass 1 alone (N_ha = R * A1) when the
+  // capacity is at most distinct - window. Random progressions (steps -7 to
+  // 16, elements that tile and straddle lines, starts clustered and far
+  // apart) are checked at the five capacities around that boundary.
+  static constexpr std::uint32_t kSizes[] = {4, 8, 16, 24, 48, 100};
+  static constexpr std::uint32_t kLines[] = {8, 16, 32, 64, 128};
+  Xoshiro256 rng(2026);
+  int below = 0;
+  int above = 0;
+  for (int trial = 0; trial < 250; ++trial) {
+    TemplateSpec spec;
+    spec.element_bytes = kSizes[rng.below(6)];
+    spec.repetitions = 2 + rng.below(4);
+    do {
+      spec.step = static_cast<std::int64_t>(rng.below(24)) - 7;
+    } while (spec.step == 0);
+    spec.count = 2 + rng.below(800);
+    const auto magnitude = static_cast<std::uint64_t>(std::abs(spec.step));
+    std::uint64_t at = spec.step < 0 ? (spec.count - 1) * magnitude : 0;
+    for (std::uint64_t j = 1 + rng.below(5); j > 0; --j) {
+      spec.starts.push_back(at);
+      // Next start: sharing this one's blocks or beyond its reach.
+      at += rng.below(2) == 0 ? rng.below(64)
+                              : spec.count * magnitude + rng.below(4096);
+    }
+    const std::uint32_t line = kLines[rng.below(5)];
+    const std::vector<std::uint64_t> blocks = blocks_of(spec, line);
+    const auto distinct = static_cast<std::int64_t>(
+        std::set<std::uint64_t>(blocks.begin(), blocks.end()).size());
+    const auto bound = distinct - static_cast<std::int64_t>(
+                                      lifetime_window(spec, line));
+    below += check_capacities(spec, line, distinct, bound - 2, bound);
+    above += check_capacities(spec, line, distinct, bound + 1, bound + 2);
+  }
+  EXPECT_GT(below, 600);
+  EXPECT_GT(above, 400);
+
+  // Where the bound is nearly tight: one start pair `lag` elements apart
+  // shares each block over a lifetime of `lag` iterations, while the other
+  // starts are used once per block, so the blocks inside a pair block's
+  // lifetime fill most of the window. Every capacity from below the
+  // boundary up to the distinct count.
+  int tight = 0;
+  for (const std::uint64_t lag : {8, 40}) {
+    for (const std::uint32_t e : {32, 48}) {
+      TemplateSpec spec;
+      spec.element_bytes = e;
+      spec.count = 300;
+      spec.repetitions = 3;
+      spec.starts = {0, lag, 10'000, 20'000, 30'000};
+      const std::vector<std::uint64_t> blocks = blocks_of(spec, 32);
+      const auto distinct = static_cast<std::int64_t>(
+          std::set<std::uint64_t>(blocks.begin(), blocks.end()).size());
+      const auto bound = distinct - static_cast<std::int64_t>(
+                                        lifetime_window(spec, 32));
+      tight += check_capacities(spec, 32, distinct, bound - 2, distinct);
+    }
+  }
+  EXPECT_GT(tight, 700);
+
+  // The costliest cell of the pipeline benchmark's model_eval: the 56^3 MG
+  // smoother sweep, repeat 2, on the 128KB machine at half its share. Its
+  // 6160 blocks fit no share of 4096, yet every reference after a block's
+  // first use hits, in both passes.
+  const std::uint64_t n = 56;
+  TemplateSpec mg;
+  mg.element_bytes = 16;
+  mg.starts = {2 * n * n + 1, 2 * n * n + 2 * n + 1, n * n + n + 1,
+               2 * n * n + n + 1};
+  mg.count = n * (n - 2);
+  mg.repetitions = 2;
+  mg.cache_ratio = 0.5;
+  const CacheConfig kb128 = caches::profiling_128kb();
+  EXPECT_EQ(try_estimate_template(mg, kb128).value_or_throw(), 12320.0);
+  EXPECT_EQ(expand_intern_replay(mg, kb128), 12320.0);
 }
 
 TEST(TemplateEstimate, ProgressionSteadyStateIsSkippedNotReplayed) {

@@ -26,7 +26,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <optional>
@@ -669,14 +668,14 @@ int cmd_fmt(const Args& args) {
   if (args.positional.size() != 1) {
     return usage();
   }
-  std::ifstream in(args.positional[0]);
-  if (!in) {
-    std::cerr << "dvfc: cannot open " << args.positional[0] << "\n";
+  std::string source;
+  try {
+    source = dvf::dsl::read_model_file(args.positional[0]);
+  } catch (const dvf::Error& err) {
+    std::cerr << "dvfc: " << err.what() << "\n";
     return 2;  // unreadable input, per the documented exit codes
   }
-  std::ostringstream contents;
-  contents << in.rdbuf();
-  std::cout << dvf::dsl::print(dvf::dsl::parse(contents.str()));
+  std::cout << dvf::dsl::print(dvf::dsl::parse(source));
   return 0;
 }
 
